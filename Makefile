@@ -51,10 +51,10 @@ chaos-smoke:
 	PYTHONPATH=src python benchmarks/bench_replication.py --smoke
 
 # Lockset race sanitizer smoke (non-gating in CI): runs the 8-thread
-# metrics hammer and the replication apply path under REPRO_RACESAN=1
-# instrumentation, plus a seeded-race sentinel proving the detector
-# can fire; writes RACESAN_smoke.json and fails on any race or
-# guard-mismatch finding.
+# metrics hammer, the replication apply path and the shared range-sum
+# memo hammer under REPRO_RACESAN=1 instrumentation, plus a seeded-race
+# sentinel proving the detector can fire; writes RACESAN_smoke.json and
+# fails on any race or guard-mismatch finding.
 racesan-smoke:
 	REPRO_RACESAN=1 PYTHONPATH=src python scripts/racesan_smoke.py
 

@@ -10,8 +10,11 @@ block/journal I/O per request.
 
 Phase 2 is the acceptance experiment for tenant isolation: a *noisy*
 tenant floods its own admission quota from several threads while a
-*quiet* tenant keeps issuing small aggregates.  The quota must convert
-the flood into per-tenant 429s, and the quiet tenant's p95 must stay
+*quiet* tenant keeps issuing small aggregates.  The noisy quota is
+held provably full throughout the flood — enough noisy requests to
+fill it are parked in flight behind a gate in the noisy cube's read
+path — so the quota must turn *every* flood request into a per-tenant
+429 (an exact count, not a race), and the quiet tenant's p95 must stay
 inside its deadline budget both alone and under contention — one
 saturated tenant cannot push the other past its deadline.
 
@@ -153,6 +156,34 @@ def _run_clients(base, path, key, threads, requests_each):
     return latencies, codes
 
 
+class _ReadGate:
+    """Parks every read of one cube's store until :meth:`open`.
+
+    Installed over the store instance's ``read_region``, the read path
+    of its range sums.  A request parked here has been admitted, so it
+    holds its in-flight quota until the gate opens.
+    """
+
+    def __init__(self, store):
+        self._read_region = store.read_region
+        self._arrivals = threading.Semaphore(0)
+        self._opened = threading.Event()
+        store.read_region = self._gated_read_region
+
+    def _gated_read_region(self, *args, **kwargs):
+        self._arrivals.release()
+        self._opened.wait(120)
+        return self._read_region(*args, **kwargs)
+
+    def await_arrivals(self, count, timeout=60):
+        for __ in range(count):
+            if not self._arrivals.acquire(timeout=timeout):
+                raise RuntimeError("a gated request never reached the read")
+
+    def open(self):
+        self._opened.set()
+
+
 def _bench_tenant_isolation(cfg):
     from repro.olap.schema import Dimension
     from repro.server.http import spawn
@@ -167,10 +198,13 @@ def _bench_tenant_isolation(cfg):
     rng = np.random.default_rng(11)
     hub.add_tenant("quiet", api_key="quiet-key", max_inflight=32)
     # the noisy quota is sized so two concurrent 4-cell drilldowns fit
-    # and the third throttles: real load AND real 429s
-    hub.add_tenant("noisy", api_key="noisy-key", max_inflight=8)
+    # and the third throttles
+    noisy_quota, noisy_cells = 8, 4
+    held = noisy_quota // noisy_cells
+    hub.add_tenant("noisy", api_key="noisy-key", max_inflight=noisy_quota)
+    states = {}
     for tenant, cube in (("quiet", "steady"), ("noisy", "flood")):
-        hub.add_cube(
+        states[cube] = hub.add_cube(
             tenant,
             cube,
             [Dimension("x", 64), Dimension("y", 64)],
@@ -191,6 +225,20 @@ def _bench_tenant_isolation(cfg):
         )
         assert set(alone_codes) == {200}
 
+        # Fill the noisy quota: `held` drilldowns are admitted and park
+        # on their first read, so every flood request below finds the
+        # quota exhausted.
+        gate = _ReadGate(states["flood"].cube.store)
+        held_codes = []
+
+        def held_request():
+            held_codes.append(_fetch(base, noisy_path, "noisy-key")[0])
+
+        holders = [
+            threading.Thread(target=held_request) for __ in range(held)
+        ]
+        for holder in holders:
+            holder.start()
         quiet_out = {}
         noisy_out = {}
 
@@ -216,12 +264,19 @@ def _bench_tenant_isolation(cfg):
             threading.Thread(target=noisy_side),
             threading.Thread(target=quiet_side),
         ]
-        for side in sides:
-            side.start()
-        for side in sides:
-            side.join(300)
+        try:
+            gate.await_arrivals(held)
+            for side in sides:
+                side.start()
+            for side in sides:
+                side.join(300)
+        finally:
+            gate.open()
+            for holder in holders:
+                holder.join(120)
         contended, contended_codes = quiet_out["data"]
         noisy_lat, noisy_codes = noisy_out["data"]
+        flood = cfg["noisy_threads"] * cfg["noisy_requests"]
 
         deadline_ms = cfg["quiet_deadline_ms"]
         report = {
@@ -243,10 +298,13 @@ def _bench_tenant_isolation(cfg):
                 "requests": len(noisy_codes),
                 "throttled_429": noisy_codes.count(429),
                 "served_200": noisy_codes.count(200),
+                "held_in_flight": held,
+                "held_served_200": held_codes.count(200),
             },
         }
         report["quota_enforced"] = (
-            report["noisy"]["throttled_429"] > 0
+            report["noisy"]["throttled_429"] == flood
+            and report["noisy"]["held_served_200"] == held
             and set(contended_codes) == {200}
             and report["quiet_contended"]["p95_ms"] <= deadline_ms
         )
@@ -291,7 +349,13 @@ def test_http_serving(benchmark):
     assert classes["model"]["io_per_request"]["block_reads"] == 0.0
     # ...while updates must hit the journal every time
     assert classes["update"]["io_per_request"]["journal_writes"] > 0.0
-    assert report["isolation"]["quota_enforced"]
+    isolation = report["isolation"]
+    flood = SMOKE["noisy_threads"] * SMOKE["noisy_requests"]
+    assert isolation["noisy"]["throttled_429"] == flood
+    assert isolation["noisy"]["served_200"] == 0
+    held = isolation["noisy"]["held_in_flight"]
+    assert held == 2 and isolation["noisy"]["held_served_200"] == held
+    assert isolation["quota_enforced"]
 
 
 if __name__ == "__main__":

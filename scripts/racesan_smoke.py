@@ -1,13 +1,15 @@
 """Racesan smoke: run the concurrency hammers under the lockset
 sanitizer and report what it observed.
 
-Forces ``REPRO_RACESAN=1`` and drives two instrumented workloads:
+Forces ``REPRO_RACESAN=1`` and drives three instrumented workloads:
 
 * the 8-thread metrics hammer (counter / gauge / histogram /
   registry), the same shapes ``tests/test_service_metrics.py`` runs;
 * the replication apply path: a feeder drains shipped journal frames
   into a ``FollowerEngine`` while reader threads hammer ``snapshot()``
-  and ack threads post acknowledgements to the ``JournalShipper``.
+  and ack threads post acknowledgements to the ``JournalShipper``;
+* the shared range-sum axis memo: six threads compile overlapping
+  range-sum axes and weight vectors through it at once.
 
 Writes ``RACESAN_smoke.json`` with the instrumented-object count, the
 fields the Eraser pass tracked, and every race / guard-mismatch
@@ -118,12 +120,61 @@ def replica_apply_hammer(results):
     assert shipper.acks() == {f"f{i}": 64 for i in range(3)}
 
 
+def axis_memo_hammer(results):
+    """Six threads hit the shared range-sum memo with overlapping keys."""
+    import numpy as np
+
+    from repro.reconstruct import rangesum
+    from repro.tiling.standard import StandardTiling
+
+    tiling = StandardTiling((64, 32), 8)
+    boxes = [
+        (low, high) for low in range(0, 32, 3) for high in range(low, 32, 5)
+    ]
+    memo = rangesum._MEMO
+    memo.clear()
+    threads = 6
+    barrier = threading.Barrier(threads)
+    wrong = []
+
+    def hammer(offset):
+        barrier.wait()
+        for step in range(400):
+            low, high = boxes[(step * (offset + 1)) % len(boxes)]
+            indices, weights = rangesum.range_sum_weights(32, low, high)
+            axis = rangesum.range_sum_axis(tiling, step % 2, low, high)
+            if step % 2 == 1 and not (
+                np.array_equal(axis.indices, indices)
+                and np.array_equal(axis.weights, weights)
+            ):
+                wrong.append((low, high))
+
+    with watching(memo) as san:
+        assert san is not None
+        _run_threads(
+            [
+                threading.Thread(target=hammer, args=(offset,))
+                for offset in range(threads)
+            ]
+        )
+        results["axis_memo"] = {
+            "instrumented": len(san._instrumented),
+            "fields_tracked": len(san._states),
+        }
+    info = memo.info()
+    memo.clear()
+    assert not wrong, f"axis entries disagree with their weights: {wrong}"
+    assert info["hits"] > info["misses"] > 0
+    assert info["size"] <= info["capacity"]
+
+
 def main():
     results = {"enabled": True, "findings": []}
     failures = []
     for name, fn in (
         ("metrics", metrics_hammer),
         ("replica", replica_apply_hammer),
+        ("axis_memo", axis_memo_hammer),
     ):
         try:
             fn(results)

@@ -230,10 +230,16 @@ def instrument_tracer(tracer: Any, witness: LockWitness) -> None:
 
 
 def instrument_plan_caches(witness: LockWitness) -> None:
-    """Instrument the module-global plan caches' locks."""
+    """Instrument the module-global plan caches' and range-sum axis
+    memo's locks."""
     from repro.core import plans
+    from repro.reconstruct import rangesum
 
-    for cache in (plans._STANDARD_PLANS, plans._NONSTANDARD_PLANS):
+    for cache in (
+        plans._STANDARD_PLANS,
+        plans._NONSTANDARD_PLANS,
+        rangesum._MEMO,
+    ):
         cache._lock = InstrumentedLock(
             witness, "_PlanLRU._lock", lock=cache._lock
         )

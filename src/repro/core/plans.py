@@ -98,7 +98,8 @@ def use_plans(enabled: bool):
 
 
 class _PlanLRU:
-    """A small thread-safe LRU keyed by chunk geometry.
+    """A small thread-safe LRU keyed by geometry (chunk plans here,
+    range-sum axes in :mod:`repro.reconstruct.rangesum`).
 
     ``get_or_build`` releases the lock while building, so two threads
     racing on the same cold key may build the (pure, identical) plan

@@ -160,8 +160,10 @@ class ServingApp:
         before = self._hub.stats.snapshot()
         # Handler threads are spawned by the threading HTTP server, so
         # there is no ambient span to inherit: the request span roots
-        # its own trace and the engine's workers parent query spans
-        # under it through the submission's trace_parent.
+        # its own trace.  A batched aggregate executes its queries in
+        # this thread, under the request span; a deadline-bound one
+        # goes to the engine's workers, which parent their query spans
+        # here through the submission's trace_parent.
         with get_tracer().span(
             "http.request",
             parent=None,

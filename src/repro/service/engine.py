@@ -3,9 +3,11 @@
 :class:`QueryEngine` turns a :class:`~repro.storage.tiled.TiledStandardStore`
 into a servable endpoint:
 
-* a fixed **worker thread pool** executes queries against the store
-  through a :class:`~repro.service.pool.ShardedBufferPool` (installed
-  into the store on construction, replacing its single-threaded pool);
+* every query reads the store through a
+  :class:`~repro.service.pool.ShardedBufferPool` (installed into the
+  store on construction, replacing its single-threaded pool);
+* a fixed **worker thread pool** executes the queries admitted one at
+  a time through :meth:`submit` / :meth:`run`;
 * a **bounded admission queue** applies backpressure — beyond
   ``queue_depth`` waiting queries, :meth:`submit` raises
   :class:`AdmissionError` instead of growing without bound;
@@ -14,8 +16,9 @@ into a servable endpoint:
   timeout result, never silently executed late;
 * :meth:`execute_batch` routes a batch through the
   :mod:`~repro.service.planner`: unique tiles are prefetched once (in
-  block-id order, pinned for the duration of the batch), then all
-  queries run against the warm shared pool;
+  block-id order, pinned for the duration of the batch), then every
+  query runs in the **caller's thread** against the warm shared pool —
+  no worker handoff, the same deadline check and resilience ladder;
 * :meth:`close` drains in-flight work, stops the workers and flushes
   every dirty block back to the device.
 
@@ -109,9 +112,11 @@ class Submission:
 
     Carries its admission timestamp (for queue-wait accounting) and,
     when tracing is enabled, the span that was open at submission time
-    — the worker executing the query parents its ``query`` span there,
-    so a batch's queries nest under the batch even though they run on
-    other threads.
+    — the thread executing the query parents its ``query`` span there.
+    A :meth:`QueryEngine.submit` handle is executed by a worker thread;
+    :meth:`QueryEngine.execute_batch` builds one per query and executes
+    it in the caller's thread, so its ``query`` spans nest under the
+    ``batch`` span either way.
     """
 
     __slots__ = (
@@ -172,7 +177,9 @@ class QueryEngine:
         A :class:`TiledStandardStore` (anything exposing ``tiling``,
         ``tile_store``, ``stats`` and the region/point read methods).
     num_workers:
-        Worker threads executing queries.
+        Worker threads executing the queries admitted through
+        :meth:`submit` (:meth:`execute_batch` runs in the caller's
+        thread).
     queue_depth:
         Admission-queue bound; :meth:`submit` rejects beyond it.
     num_shards / pool_capacity:
@@ -282,8 +289,11 @@ class QueryEngine:
         self._queue_hwm = 0  # guarded-by: _inflight_lock
         self._inflight_lock = threading.Lock()
         self._closed = False  # guarded-by: _close_lock
+        self._batches = 0  # guarded-by: _close_lock
         self._close_lock = threading.Lock()
         self._drained = threading.Event()
+        self._batches_idle = threading.Event()
+        self._batches_idle.set()
         self._batch_lock = threading.Lock()
         self._workers = [
             threading.Thread(
@@ -440,15 +450,6 @@ class QueryEngine:
         """Submit one query and wait for its result."""
         return self.submit(query, timeout=timeout).result()
 
-    def _enqueue_blocking(self, submission: Submission) -> None:
-        """Batch-path admission: wait for space instead of rejecting.
-
-        The caller (:meth:`execute_batch`) has already reserved the
-        batch's in-flight slots up front."""
-        self._queue.put(submission)
-        self._note_queue_depth()
-        self._counter("queries_submitted").inc()
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -459,23 +460,30 @@ class QueryEngine:
             if submission is None:  # shutdown sentinel
                 self._queue.task_done()
                 return
-            error = "query dropped without completion"
             try:
-                self._execute(submission)
-            except Exception as exc:  # pragma: no cover - defensive
-                # _execute already converts query failures to results;
-                # anything escaping it is an engine bug.  The worker
-                # must survive it and the waiter must still get an
-                # answer.
-                self._counter("worker_faults").inc()
-                error = f"internal worker error: {exc!r}"
+                self._run_admitted(submission)
             finally:
-                if not submission.done():
-                    submission._complete(
-                        QueryResult(status=STATUS_ERROR, error=error)
-                    )
-                self._release_inflight(1)
                 self._queue.task_done()
+
+    def _run_admitted(self, submission: Submission) -> None:
+        """Execute an admitted submission, then release its in-flight
+        slot; the submission always ends completed."""
+        error = "query dropped without completion"
+        try:
+            self._execute(submission)
+        except Exception as exc:  # pragma: no cover - defensive
+            # _execute already converts query failures to results;
+            # anything escaping it is an engine bug.  The executing
+            # thread must survive it and the waiter must still get an
+            # answer.
+            self._counter("worker_faults").inc()
+            error = f"internal worker error: {exc!r}"
+        finally:
+            if not submission.done():
+                submission._complete(
+                    QueryResult(status=STATUS_ERROR, error=error)
+                )
+            self._release_inflight(1)
 
     def _execute(self, submission: Submission) -> None:
         wait_s = time.perf_counter() - submission.submitted_s
@@ -666,19 +674,46 @@ class QueryEngine:
         The planner dedups block fetches across the batch; every unique
         materialised tile is faulted in exactly once (in block-id
         order) and pinned so concurrent eviction cannot force a
-        re-read mid-batch.  Admission is cooperative — the batch waits
-        for queue space rather than rejecting its own queries.
+        re-read mid-batch.  The queries then execute in the calling
+        thread, in order, each through the same deadline check and
+        resilience ladder a worker applies; the admission queue and the
+        workers are not involved.  :meth:`close` waits for a running
+        batch before it flushes the pool.
         """
-        # lint: allow=lock-discipline (racy fast-path check; close() completes racing submissions)
-        if self._closed:
-            raise EngineClosedError("engine is closed")
         queries = list(queries)
+        self._enter_batch()
+        try:
+            return self._execute_batch(queries, timeout)
+        finally:
+            self._exit_batch()
+
+    def _enter_batch(self) -> None:
+        """Register a running batch, or raise after :meth:`close`.
+
+        Checked and counted under the lock that flips ``_closed``, so
+        every batch either starts before the flip (and :meth:`close`
+        waits for it) or is refused."""
+        with self._close_lock:
+            if self._closed:
+                raise EngineClosedError("engine is closed")
+            self._batches += 1
+            self._batches_idle.clear()
+
+    def _exit_batch(self) -> None:
+        with self._close_lock:
+            self._batches -= 1
+            if not self._batches:
+                self._batches_idle.set()
+
+    def _execute_batch(
+        self, queries: List[Query], timeout: Optional[float]
+    ) -> BatchResult:
         # The whole batch's quota is reserved up front (all-or-nothing:
         # a tenant cannot half-admit a batch and starve its own tail).
-        # Workers release one slot per executed submission; anything
-        # never enqueued is released on the failure path below.
+        # Each query releases its slot as it finishes; anything never
+        # executed is released on the failure path below.
         self._reserve_inflight(len(queries))
-        enqueued = 0
+        executed = 0
         tracer = get_tracer()
         started = time.perf_counter()
         before = self._store.stats.snapshot()
@@ -698,25 +733,30 @@ class QueryEngine:
                 self._counter("planned_unique_tiles").inc(
                     plan.num_unique_tiles
                 )
-                with self._batch_lock:  # one prefetch wave at a time
+                # One prefetch wave at a time; the pins, not the lock,
+                # keep the wave resident while the queries execute.
+                with self._batch_lock:
                     with tracer.span("batch.prefetch") as prefetch_span:
                         pinned = self._prefetch(plan)
                         prefetch_span.set(blocks=len(pinned))
-                    try:
-                        submissions = []
-                        for query in queries:
-                            submission = Submission(
-                                query, self._deadline_for(timeout)
-                            )
-                            self._enqueue_blocking(submission)
-                            enqueued += 1
-                            submissions.append(submission)
-                        results = tuple(sub.result() for sub in submissions)
-                    finally:
-                        for block_id in pinned:
-                            self._pool.unpin(block_id)
+                try:
+                    # One deadline covers the whole batch.  A query's
+                    # admission wait is the time it waits for an
+                    # executor: none here, the caller executes it.
+                    deadline = self._deadline_for(timeout)
+                    self._counter("queries_submitted").inc(len(queries))
+                    outcomes = []
+                    for query in queries:
+                        submission = Submission(query, deadline)
+                        executed += 1
+                        self._run_admitted(submission)
+                        outcomes.append(submission.result())
+                    results = tuple(outcomes)
+                finally:
+                    for block_id in pinned:
+                        self._pool.unpin(block_id)
         except BaseException:
-            self._release_inflight(len(queries) - enqueued)
+            self._release_inflight(len(queries) - executed)
             raise
         wall = time.perf_counter() - started
         delta = self._store.stats.delta_since(before)
@@ -782,8 +822,10 @@ class QueryEngine:
         Idempotent and concurrent-safe: exactly one caller performs the
         shutdown; every other (and every later) caller blocks until the
         drain and flush have finished, so "close returned" always means
-        "workers stopped, dirty blocks flushed".  Queries already
-        admitted are executed (or timed out against their deadlines);
+        "workers stopped, running batches finished, dirty blocks
+        flushed".  Queries already admitted — queued for the workers or
+        in a batch running in its caller's thread — are executed (or
+        timed out against their deadlines);
         new submissions are refused with :class:`EngineClosedError`; a
         submission racing the shutdown is completed with a definite
         error result rather than left hanging.
@@ -814,6 +856,9 @@ class QueryEngine:
                     )
                 self._release_inflight(1)
             self._queue.task_done()
+        # Batches execute in their callers' threads; the ones admitted
+        # before the flag flip finish before the pool is flushed.
+        self._batches_idle.wait()
         if not self._read_only:
             with get_tracer().span("engine.flush"):
                 self._pool.flush()

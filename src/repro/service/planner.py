@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.standard_ops import chunk_axis_maps
-from repro.reconstruct.rangesum import range_sum_weights
+from repro.reconstruct.rangesum import range_sum_axis
 from repro.service.queries import (
     CustomQuery,
     PointQuery,
@@ -40,7 +40,6 @@ from repro.service.queries import (
     RegionQuery,
 )
 from repro.util.dyadic import dyadic_box_cover
-from repro.wavelet.tree import WaveletTree
 
 __all__ = ["QueryPlan", "BatchPlan", "tiles_for_query", "plan_batch"]
 
@@ -71,7 +70,8 @@ def tiles_for_query(store, query: Query) -> FrozenSet[TileKey]:
 
     * point — cross product of per-axis root paths (Lemma 1);
     * range sum — cross product of per-axis boundary coefficient sets
-      (Lemma 2);
+      (Lemma 2), each axis compiled once through the memo the executor
+      shares (:func:`~repro.reconstruct.rangesum.range_sum_axis`);
     * region — one cross-product read per piece of the canonical
       dyadic cover (Result 6);
     * custom — unknown, planned as the empty set.
@@ -85,11 +85,13 @@ def tiles_for_query(store, query: Query) -> FrozenSet[TileKey]:
             )
         return frozenset(tiling.tiles_on_root_path(query.position))
     if isinstance(query, RangeSumQuery):
-        per_axis = [
-            range_sum_weights(extent, low, high)[0]
-            for extent, low, high in zip(shape, query.lows, query.highs)
+        axes = [
+            range_sum_axis(tiling, axis, low, high)
+            for axis, low, high in zip(
+                range(len(shape)), query.lows, query.highs
+            )
         ]
-        return frozenset(_tiles_of_read(tiling, per_axis))
+        return frozenset(itertools.product(*[axis.parts for axis in axes]))
     if isinstance(query, RegionQuery):
         tiles = set()
         for box in dyadic_box_cover(query.starts, query.stops):
@@ -168,13 +170,4 @@ def plan_batch(store, queries: Sequence[Query]) -> BatchPlan:
         plans=tuple(plans),
         unique_tiles=tuple(unique),
         total_tile_refs=total_refs,
-    )
-
-
-# Re-exported for callers that want the point-query helper directly.
-def root_path_indices(extent: int, coordinate: int) -> np.ndarray:
-    """Flat per-axis root-path indices (Lemma 1) — the read pattern of
-    a standard-form point query along one axis."""
-    return np.asarray(
-        WaveletTree(extent).root_path(int(coordinate)), dtype=np.int64
     )

@@ -38,7 +38,7 @@ def _env_validate_default() -> bool:
     }
 
 
-def _group_by_tile(
+def group_by_tile(
     bands: np.ndarray, roots: np.ndarray
 ) -> List[Tuple[Tuple[int, int], np.ndarray]]:
     """Group positions of one axis by their (band, root) tile part.
@@ -144,7 +144,7 @@ class TiledStandardStore:
                     f"axis {axis} index array contains duplicates"
                 )
             bands, roots, slots = self._tiling.locate_axis_indices(axis, flat)
-            located.append((slots, _group_by_tile(bands, roots)))
+            located.append((slots, group_by_tile(bands, roots)))
         return located
 
     def _update_region(
@@ -206,9 +206,17 @@ class TiledStandardStore:
         self,
         per_axis: Sequence[np.ndarray],
         validate: Optional[bool] = None,
+        located: Optional[Sequence[tuple]] = None,
     ) -> np.ndarray:
-        """Read the cross-product region, tile by tile."""
-        located = self._axis_groups(per_axis, validate=validate)
+        """Read the cross-product region, tile by tile.
+
+        ``located`` optionally supplies every axis' ``(slots, tile-part
+        groups)`` pair already computed for ``per_axis`` (as
+        :func:`~repro.reconstruct.rangesum.range_sum_axis` memoises
+        them), skipping the per-call location and validation.
+        """
+        if located is None:
+            located = self._axis_groups(per_axis, validate=validate)
         out_shape = tuple(np.asarray(axis).size for axis in per_axis)
         out = np.zeros(out_shape, dtype=np.float64)
         edge_shape = (self._edge,) * self.ndim

@@ -7,12 +7,20 @@ admission queue rejects promptly, and expired deadlines produce
 timeout errors rather than hangs.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
-from repro.service.engine import AdmissionError, QueryEngine
+from repro.reconstruct import rangesum
+from repro.reconstruct.rangesum import range_sum_standard
+from repro.service.engine import (
+    STATUS_ERROR,
+    AdmissionError,
+    EngineClosedError,
+    QueryEngine,
+)
 from repro.service.queries import (
     CustomQuery,
     PointQuery,
@@ -111,6 +119,112 @@ class TestConcurrentCorrectness:
         for expected_value, result in zip(expected, batch.results):
             assert result.ok
             assert _values_equal(expected_value, result.value)
+
+
+class TestInlineBatch:
+    """``execute_batch`` runs its queries in the caller's thread."""
+
+    def test_batch_queries_run_in_the_callers_thread(self):
+        store, __ = build_store(shape=(16, 16), block_edge=4)
+        seen = []
+        with QueryEngine(store, num_workers=2) as engine:
+            batch = engine.execute_batch(
+                [CustomQuery(lambda s: seen.append(threading.get_ident()))]
+                * 3
+                + [PointQuery((1, 1))]
+            )
+            worker = engine.run(
+                CustomQuery(lambda s: threading.get_ident())
+            ).value
+        assert all(result.ok for result in batch.results)
+        assert seen == [threading.get_ident()] * 3
+        assert worker != threading.get_ident()  # submit() still uses workers
+
+    def test_raising_query_in_batch_is_contained(self):
+        def boom(store):
+            raise RuntimeError("custom query failed")
+
+        store, __ = build_store(shape=(16, 16), block_edge=4)
+        with QueryEngine(store, num_workers=2, max_inflight=4) as engine:
+            batch = engine.execute_batch(
+                [PointQuery((0, 0)), CustomQuery(boom), PointQuery((3, 3))]
+            )
+            snap = engine.snapshot()
+        statuses = [result.status for result in batch.results]
+        assert statuses == ["ok", STATUS_ERROR, "ok"]
+        assert "custom query failed" in batch.results[1].error
+        assert snap["queries_inflight"] == 0
+        assert snap["counters"]["query_errors"] == 1
+
+    def test_close_waits_for_a_running_batch(self):
+        store, __ = build_store(shape=(16, 16), block_edge=4)
+        engine = QueryEngine(store, num_workers=2)
+        started, release, closed = (threading.Event() for __ in range(3))
+
+        def held(store):
+            started.set()
+            assert release.wait(10)
+            return "held"
+
+        batch = []
+        runner = threading.Thread(
+            target=lambda: batch.append(
+                engine.execute_batch([CustomQuery(held), PointQuery((2, 2))])
+            )
+        )
+        closer = threading.Thread(
+            target=lambda: (engine.close(), closed.set())
+        )
+        runner.start()
+        assert started.wait(10)
+        closer.start()
+        assert not closed.wait(0.2)  # the batch is still reading
+        release.set()
+        runner.join(10)
+        closer.join(10)
+        assert closed.is_set()
+        assert [result.status for result in batch[0].results] == ["ok", "ok"]
+        assert engine.snapshot()["queries_inflight"] == 0
+        with pytest.raises(EngineClosedError):
+            engine.execute_batch([PointQuery((0, 0))])
+
+    def test_batch_values_equal_worker_and_direct_values(self):
+        store, __ = build_store(shape=(64, 64), block_edge=8, seed=21)
+        queries = _mixed_workload(store.shape, seed=22)
+        with QueryEngine(store, num_workers=2) as engine:
+            batch = engine.execute_batch(queries)
+            singles = [engine.run(query) for query in queries]
+        fresh, __ = build_store(shape=(64, 64), block_edge=8, seed=21)
+        assert any(isinstance(q, RangeSumQuery) for q in queries)
+        for query, in_batch, single in zip(queries, batch.results, singles):
+            assert in_batch.ok and single.ok
+            if isinstance(query, RangeSumQuery):
+                direct = range_sum_standard(fresh, query.lows, query.highs)
+            else:
+                direct = execute_query(fresh, query)
+            assert np.array_equal(in_batch.value, single.value)
+            assert np.array_equal(in_batch.value, direct)
+
+    def test_cold_pool_batch_io_is_the_same_with_memo_cold_or_warm(self):
+        queries = _mixed_workload((64, 64), seed=23)
+
+        def cold_pool_batch():
+            store, __ = build_store(
+                shape=(64, 64), block_edge=8, pool_capacity=64, seed=24
+            )
+            with QueryEngine(store, num_workers=2) as engine:
+                batch = engine.execute_batch(queries)
+                stats = dataclasses.asdict(store.stats)
+            return stats, [result.value for result in batch.results]
+
+        rangesum._MEMO.clear()
+        cold_stats, cold_values = cold_pool_batch()
+        warm_stats, warm_values = cold_pool_batch()
+        assert len(cold_stats) == 7
+        assert cold_stats == warm_stats
+        assert cold_stats["block_reads"] > 0
+        for cold, warm in zip(cold_values, warm_values):
+            assert np.array_equal(cold, warm)
 
 
 class TestAdmissionControl:
