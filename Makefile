@@ -1,6 +1,6 @@
 # Convenience targets for the SHIFT-SPLIT reproduction.
 
-.PHONY: install test bench bench-smoke trace-smoke fault-smoke serve-smoke obs-smoke chaos-smoke racesan-smoke serve ci lint analyze experiments examples clean
+.PHONY: install test bench bench-smoke trace-smoke fault-smoke serve-smoke obs-smoke chaos-smoke racesan-smoke serve ci lint analyze loc experiments examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -87,6 +87,11 @@ lint:
 # archive.
 analyze:
 	PYTHONPATH=src python -m repro.analysis --json analysis_report.json
+
+# Net src/ Python line count; ROADMAP tracks it the way it tracks
+# latency.
+loc:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
 
 experiments:
 	python scripts/regenerate_experiments.py results

@@ -189,12 +189,7 @@ def _bench_tenant_isolation(cfg):
     from repro.server.http import spawn
     from repro.server.hub import ServingHub
 
-    hub = ServingHub(
-        block_slots=64,
-        pool_blocks=64,
-        num_workers=2,
-        queue_depth=64,
-    )
+    hub = ServingHub(block_slots=64, pool_blocks=64)
     rng = np.random.default_rng(11)
     hub.add_tenant("quiet", api_key="quiet-key", max_inflight=32)
     # the noisy quota is sized so two concurrent 4-cell drilldowns fit

@@ -60,10 +60,9 @@ def _build_hub(telemetry):
     from repro.server.hub import ServingHub
 
     if telemetry:
-        hub = ServingHub(num_workers=2)
+        hub = ServingHub()
     else:
         hub = ServingHub(
-            num_workers=2,
             flight_capacity=0,
             reqlog_capacity=0,
             heat_max_tiles=0,

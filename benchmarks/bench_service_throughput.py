@@ -40,7 +40,6 @@ WORKLOAD = dict(
     points=32,
     range_sums=16,
     regions=16,  # 64 queries total
-    num_workers=4,
     num_shards=4,
     seed=0,
 )

@@ -125,7 +125,6 @@ def faulty_replay() -> dict:
         points=8,
         range_sums=4,
         regions=4,
-        num_workers=2,
         num_shards=2,
         fault_rate=0.05,
         fault_seed=1,

@@ -105,7 +105,6 @@ def main():
         points=8,
         range_sums=4,
         regions=4,
-        num_workers=2,
         num_shards=2,
         trace=True,
         trace_path=TRACE_PATH,

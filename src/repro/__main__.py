@@ -86,13 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--regions", type=int, default=16, help="region queries"
     )
     serve.add_argument(
-        "--workers", type=int, default=4, help="engine worker threads"
-    )
-    serve.add_argument(
         "--shards", type=int, default=4, help="buffer-pool shards"
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=64, help="admission queue bound"
     )
     serve.add_argument("--seed", type=int, default=0, help="workload seed")
     serve.add_argument(
@@ -150,9 +144,7 @@ def _serve_replay(args: argparse.Namespace) -> int:
         points=args.points,
         range_sums=args.range_sums,
         regions=args.regions,
-        num_workers=args.workers,
         num_shards=args.shards,
-        queue_depth=args.queue_depth,
         dataset=args.dataset,
         seed=args.seed,
         trace=bool(args.trace or args.prom),

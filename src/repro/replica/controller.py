@@ -27,9 +27,10 @@ class ProbeResult:
 
 
 def http_health_probe(url: str, timeout_s: float = 1.0) -> ProbeResult:
-    """Probe ``url``'s ``/healthz``.  Unreachable or non-JSON ⇒
-    unhealthy; a ``shedding`` status with any tenant breaker open is
-    reported separately so policy can decide whether that counts."""
+    """Probe ``url``'s ``/healthz``.  Unreachable, non-JSON or a
+    status other than ``ok``/``degraded`` ⇒ unhealthy; any tenant
+    breaker open is reported separately so policy can decide whether
+    that counts."""
     try:
         req = urllib.request.Request(url.rstrip("/") + "/healthz")
         with urllib.request.urlopen(req, timeout=timeout_s) as resp:

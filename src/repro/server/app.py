@@ -9,7 +9,7 @@ Stdlib-only Slicer-style endpoints:
 ``/cube/<name>/aggregate``  GET   ``cut`` / ``drilldown`` aggregation
 ``/cube/<name>/update``   POST    SHIFT-SPLIT delta batch
 ``/metrics``              GET     Prometheus text exposition
-``/healthz``              GET     breaker / journal / queue / replication
+``/healthz``              GET     breaker / journal / quota / replication
 ``/debug/queries``        GET     flight recorder + recent request log
 ``/debug/trace``          GET     live trace (admin key only)
 ``/debug/heat``           GET     tile-heat map
@@ -35,9 +35,11 @@ Tenancy: every data route requires an API key (``X-API-Key`` header or
 ``api_key`` query parameter) resolving to a tenant; ``/metrics`` and
 ``/healthz`` are operator routes and skip auth.  A per-request
 deadline (``X-Deadline-Ms`` header or ``deadline_ms`` parameter)
-propagates into the engine; queries that blow it are answered from
-resident blocks with a sound ``error_bound`` and the response is
-**206 Partial Content** — a slow tenant degrades instead of stalling.
+propagates into the engine, which runs the whole aggregate in the
+request's thread as one batch under that deadline; queries that blow it
+are answered from resident blocks with a sound ``error_bound`` and the
+response is **206 Partial Content** — a slow tenant degrades instead of
+stalling.
 
 Telemetry: every request carries a W3C-style trace — an incoming
 ``traceparent`` header's trace id is continued, otherwise a fresh one
@@ -51,10 +53,10 @@ authenticated: the hub's admin key sees everything, a tenant key sees
 its own slice (and never the raw trace).
 
 Status mapping: schema/parse errors 400, unknown key 401, unknown
-cube 404, tenant quota 429, global backpressure 503, engine errors
-500.  Responses are always JSON; floats serialise via ``repr`` so a
-client reading the body sees bit-identical values to a direct
-:class:`~repro.service.engine.QueryEngine` caller.
+cube 404, tenant quota 429, a closed engine or a read-only replica 503,
+engine errors 500.  Responses are always JSON; floats serialise via
+``repr`` so a client reading the body sees bit-identical values to a
+direct :class:`~repro.service.engine.QueryEngine` caller.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from repro.service.engine import (
     STATUS_DEGRADED,
     STATUS_ERROR,
     STATUS_OK,
-    AdmissionError,
+    EngineClosedError,
     QuotaError,
 )
 from repro.service.queries import RangeSumQuery
@@ -160,10 +162,8 @@ class ServingApp:
         before = self._hub.stats.snapshot()
         # Handler threads are spawned by the threading HTTP server, so
         # there is no ambient span to inherit: the request span roots
-        # its own trace.  A batched aggregate executes its queries in
-        # this thread, under the request span; a deadline-bound one
-        # goes to the engine's workers, which parent their query spans
-        # here through the submission's trace_parent.
+        # its own trace.  An aggregate executes its queries in this
+        # thread, under the request span.
         with get_tracer().span(
             "http.request",
             parent=None,
@@ -197,7 +197,7 @@ class ServingApp:
                 code, payload, content_type = 400, {"error": str(exc)}, None
             except QuotaError as exc:
                 code, payload, content_type = 429, {"error": str(exc)}, None
-            except AdmissionError as exc:
+            except EngineClosedError as exc:
                 code, payload, content_type = 503, {"error": str(exc)}, None
             except Exception as exc:  # never leak a traceback as HTML
                 code, payload, content_type = 500, {"error": repr(exc)}, None
@@ -275,9 +275,7 @@ class ServingApp:
     ) -> Tuple[int, object, Optional[str]]:
         if path == "/healthz":
             self._require(method, "GET")
-            health = self._hub.healthz()
-            code = 503 if health["status"] == "shedding" else 200
-            return code, health, None
+            return 200, self._hub.healthz(), None
         if path == "/metrics":
             self._require(method, "GET")
             return 200, self._hub.prometheus(), "text/plain; version=0.0.4"
@@ -488,26 +486,9 @@ class ServingApp:
         queries = [
             RangeSumQuery(cell.lows, cell.highs) for cell in plan.cells
         ]
-        engine = state.engine
-        if deadline_s is None:
-            batch = engine.execute_batch(queries)
-            results = list(batch.results)
-        else:
-            # Deadline-bound requests bypass the batch prefetch wave:
-            # the prefetch optimises throughput but performs deadline-
-            # blind device I/O; the per-query path lets an expired
-            # query degrade to resident blocks instead.
-            submissions = []
-            try:
-                for query in queries:
-                    submissions.append(
-                        engine.submit(query, timeout=deadline_s)
-                    )
-            except AdmissionError:
-                for submission in submissions:
-                    submission.result()
-                raise
-            results = [submission.result() for submission in submissions]
+        results = state.engine.execute_batch(
+            queries, timeout=deadline_s
+        ).results
 
         rows: List[dict] = []
         worst = STATUS_OK

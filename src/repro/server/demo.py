@@ -27,8 +27,6 @@ def build_demo_hub(
     size: int = 64,
     pool_blocks: int = 64,
     max_inflight: int = 64,
-    num_workers: int = 2,
-    queue_depth: int = 64,
     data_dir=None,
     reqlog_stream=None,
     flight_capacity: int = 64,
@@ -48,8 +46,6 @@ def build_demo_hub(
     hub = ServingHub(
         block_slots=64,
         pool_blocks=pool_blocks,
-        queue_depth=queue_depth,
-        num_workers=num_workers,
         max_inflight=max_inflight,
         data_dir=data_dir,
         reqlog_stream=reqlog_stream,

@@ -19,9 +19,9 @@ One :class:`ServingHub` owns the whole serving-side storage stack:
 
 Tenant isolation is therefore exactly what the engine primitives give:
 a tenant saturating its quota gets :class:`QuotaError` (HTTP 429)
-without occupying another tenant's queue slots, and a tenant whose
-deadlines expire gets cache-only degraded answers without issuing
-device reads that would queue ahead of others.
+without touching another tenant's quota, and a tenant whose deadlines
+expire gets cache-only degraded answers without issuing device reads
+that would queue ahead of others.
 
 Updates mutate shared structures (device allocation, tile
 directories), so the hub serialises all update batches behind one
@@ -98,13 +98,11 @@ class Tenant:
         name: str,
         api_key: str,
         max_inflight: int,
-        num_workers: int,
         default_deadline_s: Optional[float],
     ) -> None:
         self.name = name
         self.api_key = api_key
         self.max_inflight = max_inflight
-        self.num_workers = num_workers
         self.default_deadline_s = default_deadline_s
         self.cubes: Dict[str, "CubeState"] = {}
 
@@ -146,7 +144,7 @@ class ServingHub:
         Total shared buffer-pool budget, in blocks.
     num_shards:
         Lock shards of the shared pool.
-    queue_depth / num_workers / max_inflight / default_deadline_s:
+    max_inflight / default_deadline_s:
         Per-tenant engine defaults; overridable per tenant.
     breaker_threshold:
         When set, every engine gets its own
@@ -190,8 +188,6 @@ class ServingHub:
         block_slots: int = 64,
         pool_blocks: int = 64,
         num_shards: int = 4,
-        queue_depth: int = 64,
-        num_workers: int = 2,
         max_inflight: int = 32,
         default_deadline_s: Optional[float] = None,
         breaker_threshold: Optional[int] = None,
@@ -261,8 +257,6 @@ class ServingHub:
         self._metrics = (
             metrics if metrics is not None else MetricsRegistry()
         )
-        self._queue_depth = queue_depth
-        self._num_workers = num_workers
         self._max_inflight = max_inflight
         self._default_deadline_s = default_deadline_s
         self._breaker_threshold = breaker_threshold
@@ -327,7 +321,10 @@ class ServingHub:
 
     def _restore(self, state: dict) -> None:
         """Rebuild tenants and cubes from the ``hub_state.json``
-        sidecar, adopting the blocks already in the arena file."""
+        sidecar, adopting the blocks already in the arena file.
+
+        Sidecars written before engines ran queries in their callers'
+        threads carry a tenant ``num_workers`` field; it is ignored."""
         self._restoring = True
         try:
             for tenant_record in state["tenants"]:
@@ -335,7 +332,6 @@ class ServingHub:
                     tenant_record["name"],
                     api_key=tenant_record["api_key"],
                     max_inflight=tenant_record["max_inflight"],
-                    num_workers=tenant_record["num_workers"],
                     default_deadline_s=tenant_record["default_deadline_s"],
                 )
                 for cube_record in tenant_record["cubes"]:
@@ -469,7 +465,8 @@ class ServingHub:
             self._state_version = version
 
     def _apply_state_locked(self, state: dict) -> None:
-        # Callers hold _write_lock.
+        # Callers hold _write_lock.  A primary running an older release
+        # ships a tenant ``num_workers`` field; like _restore, ignore it.
         self._restoring = True  # suppress _persist / version bumps
         try:
             for tenant_record in state["tenants"]:
@@ -478,7 +475,6 @@ class ServingHub:
                         tenant_record["name"],
                         api_key=tenant_record["api_key"],
                         max_inflight=tenant_record["max_inflight"],
-                        num_workers=tenant_record["num_workers"],
                         default_deadline_s=tenant_record[
                             "default_deadline_s"
                         ],
@@ -651,7 +647,6 @@ class ServingHub:
         name: str,
         api_key: Optional[str] = None,
         max_inflight: Optional[int] = None,
-        num_workers: Optional[int] = None,
         default_deadline_s: Optional[float] = None,
     ) -> Tenant:
         """Register a tenant; generates an API key when none is given."""
@@ -668,11 +663,6 @@ class ServingHub:
                 max_inflight
                 if max_inflight is not None
                 else self._max_inflight
-            ),
-            num_workers=(
-                num_workers
-                if num_workers is not None
-                else self._num_workers
             ),
             default_deadline_s=(
                 default_deadline_s
@@ -763,8 +753,6 @@ class ServingHub:
         )
         engine = QueryEngine(
             cube.store,
-            num_workers=tenant.num_workers,
-            queue_depth=self._queue_depth,
             default_timeout=tenant.default_deadline_s,
             metrics=self._metrics,
             breaker=breaker,
@@ -884,47 +872,38 @@ class ServingHub:
     # ------------------------------------------------------------------
 
     def healthz(self) -> dict:
-        """Liveness payload: breaker / journal / queue state.
+        """Liveness payload: breaker / journal / quota state.
 
-        ``status`` is ``"ok"``, ``"degraded"`` (any breaker not
-        closed) or ``"shedding"`` (any admission queue at capacity —
-        the load-shedding signal the satellite HWM gauge feeds).
+        ``status`` is ``"ok"`` or ``"degraded"`` (any breaker not
+        closed).  Each cube reports its engine's ``max_inflight`` quota
+        and ``queries_inflight``.  A tenant at its quota is answered 429
+        per request and is deliberately not a health state: a failover
+        controller treats a non-ok hub as down, and one noisy tenant
+        must not trigger a failover.
         """
         status = "ok"
-        severity = {"ok": 0, "degraded": 1, "shedding": 2}
         tenants: Dict[str, dict] = {}
         for name in self.tenants():
             tenant = self._tenants[name]
             cubes: Dict[str, dict] = {}
             tenant_status = "ok"
-            tenant_hwm = 0
             for cube_name, state in sorted(tenant.cubes.items()):
                 engine = state.engine
                 entry = {
-                    "queue_depth": engine.queue_depth,
-                    "queue_hwm": engine.queue_hwm,
-                    "queue_capacity": engine.queue_capacity,
                     "max_inflight": engine.max_inflight,
+                    "queries_inflight": engine.queries_inflight,
                 }
-                tenant_hwm = max(tenant_hwm, engine.queue_hwm)
                 if engine.breaker is not None:
                     entry["breaker"] = engine.breaker.state
                     if engine.breaker.state != "closed":
-                        if severity["degraded"] > severity[tenant_status]:
-                            tenant_status = "degraded"
-                if engine.queue_depth >= engine.queue_capacity:
-                    tenant_status = "shedding"
+                        tenant_status = "degraded"
                 cubes[cube_name] = entry
             # A degraded tenant must be distinguishable from a degraded
             # hub: the rollup marks *which* tenant is unhealthy, and
             # the hub status is the worst tenant's.
-            if severity[tenant_status] > severity[status]:
+            if tenant_status != "ok":
                 status = tenant_status
-            tenants[name] = {
-                "status": tenant_status,
-                "queue_hwm": tenant_hwm,
-                "cubes": cubes,
-            }
+            tenants[name] = {"status": tenant_status, "cubes": cubes}
         return {
             "status": status,
             "role": self._role,

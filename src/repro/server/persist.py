@@ -156,7 +156,6 @@ def hub_to_state(hub) -> dict:
                 "name": tenant_name,
                 "api_key": tenant.api_key,
                 "max_inflight": tenant.max_inflight,
-                "num_workers": tenant.num_workers,
                 "default_deadline_s": tenant.default_deadline_s,
                 "cubes": cubes,
             }

@@ -4,15 +4,16 @@ Everything below :mod:`repro.service` treats the rest of the library
 as an engine room: the tilings say which blocks a query needs, the
 stores move blocks, and this package turns that into a servable
 endpoint — a batched planner that dedups block fetches across queries,
-a thread-safe sharded buffer pool, a worker-pooled engine with
-admission control and deadlines, serving metrics, and a workload
-replay driver (``python -m repro serve-replay``).
+a thread-safe sharded buffer pool, an engine that runs every query in
+its caller's thread under an in-flight quota and deadlines, serving
+metrics, and a workload replay driver (``python -m repro
+serve-replay``).
 
 Typical use::
 
     from repro.service import QueryEngine, PointQuery, RangeSumQuery
 
-    engine = QueryEngine(store, num_workers=8, num_shards=4)
+    engine = QueryEngine(store, num_shards=4)
     batch = engine.execute_batch([PointQuery((3, 5)),
                                   RangeSumQuery((0, 0), (15, 15))])
     print(batch.plan.dedup_ratio, batch.results[0].value)
@@ -25,7 +26,6 @@ from repro.service.engine import (
     EngineClosedError,
     QueryEngine,
     QueryResult,
-    Submission,
 )
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.planner import BatchPlan, QueryPlan, plan_batch, tiles_for_query
@@ -62,7 +62,6 @@ __all__ = [
     "RangeSumQuery",
     "RegionQuery",
     "ShardedBufferPool",
-    "Submission",
     "build_store",
     "build_workload",
     "execute_query",

@@ -7,8 +7,10 @@ produce *an* answer with a sound absolute error bound — the degraded
 machinery of :mod:`repro.storage.degrade` computes exactly that for
 unreadable blocks.  This module makes "no time left" look like
 "unreadable": a :class:`DeadlineGuardDevice` wraps the block device
-and, while a worker thread holds its :meth:`~DeadlineGuardDevice.cache_only`
-scope, refuses every *device read* with :class:`BlockNotResidentError`.
+and, while the thread executing a query holds its
+:meth:`~DeadlineGuardDevice.cache_only` scope (every query runs in its
+caller's thread), refuses every *device read* with
+:class:`BlockNotResidentError`.
 Buffer-pool hits never reach the device, so an expired query re-run
 under the scope reads only resident blocks, zero-fills the rest, and
 reports the same ``W * ||block||_1`` error bound a fault-degraded read
@@ -16,7 +18,7 @@ would — without touching the (possibly slow, possibly contended) disk
 at all.
 
 The guard flag is **per-thread**: one tenant's expired queries degrade
-while every other worker on the shared device keeps reading normally.
+while every other thread on the shared device keeps reading normally.
 Writes always pass through (a cache-only read pass can still trigger
 a write-back eviction, which must not be lost).
 """

@@ -1,4 +1,4 @@
-"""Concurrent query engine: workers, admission control, deadlines.
+"""Query engine: in-flight quota, deadlines, caller-thread execution.
 
 :class:`QueryEngine` turns a :class:`~repro.storage.tiled.TiledStandardStore`
 into a servable endpoint:
@@ -6,21 +6,22 @@ into a servable endpoint:
 * every query reads the store through a
   :class:`~repro.service.pool.ShardedBufferPool` (installed into the
   store on construction, replacing its single-threaded pool);
-* a fixed **worker thread pool** executes the queries admitted one at
-  a time through :meth:`submit` / :meth:`run`;
-* a **bounded admission queue** applies backpressure — beyond
-  ``queue_depth`` waiting queries, :meth:`submit` raises
-  :class:`AdmissionError` instead of growing without bound;
+* every query runs in its **caller's thread**: :meth:`run` executes
+  one query, :meth:`execute_batch` routes a batch through the
+  :mod:`~repro.service.planner` — unique tiles are prefetched once (in
+  block-id order, pinned for the duration of the batch), then the
+  queries execute in order against the warm shared pool.  There is no
+  worker pool and no admission queue: a thread handoff saves no block
+  I/O and, under the GIL, only adds waiting;
+* the optional **in-flight quota** (``max_inflight``) is the only
+  admission gate — a call that would exceed it raises
+  :class:`QuotaError` at once instead of waiting;
 * every query carries an optional **deadline**; a query whose deadline
-  has passed by the time a worker picks it up is answered with a
-  timeout result, never silently executed late;
-* :meth:`execute_batch` routes a batch through the
-  :mod:`~repro.service.planner`: unique tiles are prefetched once (in
-  block-id order, pinned for the duration of the batch), then every
-  query runs in the **caller's thread** against the warm shared pool —
-  no worker handoff, the same deadline check and resilience ladder;
-* :meth:`close` drains in-flight work, stops the workers and flushes
-  every dirty block back to the device.
+  has passed before it starts is answered with a timeout result (or
+  from resident blocks), never silently executed late.  A batch fixes
+  its one deadline at entry, and its prefetch wave stops there too;
+* :meth:`close` refuses new calls, waits for the running ones and
+  flushes every dirty block back to the device.
 
 Latency, admission and I/O observations land in a
 :class:`~repro.service.metrics.MetricsRegistry`.
@@ -32,7 +33,6 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from queue import Empty, Full, Queue
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.fault.breaker import CircuitBreaker
@@ -54,7 +54,6 @@ __all__ = [
     "EngineClosedError",
     "QuotaError",
     "QueryResult",
-    "Submission",
     "BatchResult",
     "QueryEngine",
 ]
@@ -66,19 +65,16 @@ STATUS_DEGRADED = "degraded"
 
 
 class AdmissionError(RuntimeError):
-    """Raised when the admission queue is full (backpressure)."""
+    """Raised when the engine refuses to admit a query."""
 
 
 class QuotaError(AdmissionError):
-    """Raised when the engine's in-flight quota is exhausted.
-
-    Distinguished from a full queue so the serving layer can answer a
-    quota-throttled tenant with HTTP 429 while a globally overloaded
-    queue still reads as backpressure."""
+    """Raised when the engine's in-flight quota is exhausted (the
+    serving layer answers it with HTTP 429)."""
 
 
 class EngineClosedError(AdmissionError):
-    """Raised on submission to an engine that has been closed."""
+    """Raised when a query arrives at an engine that has been closed."""
 
 
 @dataclass(frozen=True)
@@ -107,51 +103,6 @@ class QueryResult:
         return self.status == STATUS_DEGRADED
 
 
-class Submission:
-    """Handle for an admitted query (a minimal future).
-
-    Carries its admission timestamp (for queue-wait accounting) and,
-    when tracing is enabled, the span that was open at submission time
-    — the thread executing the query parents its ``query`` span there.
-    A :meth:`QueryEngine.submit` handle is executed by a worker thread;
-    :meth:`QueryEngine.execute_batch` builds one per query and executes
-    it in the caller's thread, so its ``query`` spans nest under the
-    ``batch`` span either way.
-    """
-
-    __slots__ = (
-        "query",
-        "deadline",
-        "submitted_s",
-        "trace_parent",
-        "_event",
-        "_result",
-    )
-
-    def __init__(self, query: Query, deadline: Optional[float]) -> None:
-        self.query = query
-        self.deadline = deadline
-        self.submitted_s = time.perf_counter()
-        self.trace_parent = get_tracer().current_span()
-        self._event = threading.Event()
-        self._result: Optional[QueryResult] = None
-
-    def _complete(self, result: QueryResult) -> None:
-        self._result = result
-        self._event.set()
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> QueryResult:
-        """Block until the query completes; raises :class:`TimeoutError`
-        if it has not completed within ``timeout`` seconds."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("query has not completed yet")
-        assert self._result is not None
-        return self._result
-
-
 @dataclass(frozen=True)
 class BatchResult:
     """Results of a planned batch plus its plan and I/O accounting."""
@@ -169,24 +120,21 @@ class BatchResult:
 
 
 class QueryEngine:
-    """Thread-pooled query service over one standard-form tiled store.
+    """Query service over one standard-form tiled store.
+
+    Every query runs in the thread that calls :meth:`run` or
+    :meth:`execute_batch`; the engine starts no threads.
 
     Parameters
     ----------
     store:
         A :class:`TiledStandardStore` (anything exposing ``tiling``,
         ``tile_store``, ``stats`` and the region/point read methods).
-    num_workers:
-        Worker threads executing the queries admitted through
-        :meth:`submit` (:meth:`execute_batch` runs in the caller's
-        thread).
-    queue_depth:
-        Admission-queue bound; :meth:`submit` rejects beyond it.
     num_shards / pool_capacity:
         Sharded-pool geometry; capacity defaults to the store's
         previous pool capacity.
     default_timeout:
-        Deadline (seconds) applied to queries submitted without one;
+        Deadline (seconds) applied to calls made without one;
         ``None`` means no deadline.
     retry_policy:
         A :class:`~repro.fault.retry.RetryPolicy`; when set, transient
@@ -196,8 +144,8 @@ class QueryEngine:
     breaker:
         A :class:`~repro.fault.breaker.CircuitBreaker`; when set,
         consecutive device failures trip it open and subsequent queries
-        are answered immediately (degraded or shed) instead of queueing
-        against a dead device.
+        are answered immediately (degraded or shed) instead of piling
+        onto a dead device.
     degraded_reads:
         When ``True``, a query whose retries are exhausted is re-run
         with unreadable blocks zero-filled, answering
@@ -215,15 +163,15 @@ class QueryEngine:
         sharing one :class:`MetricsRegistry` stay distinguishable.
     max_inflight:
         Admission quota: maximum queries admitted but not yet
-        completed (queued + executing), across both :meth:`submit`
-        and :meth:`execute_batch`.  Beyond it submissions raise
-        :class:`QuotaError`.  ``None`` (default) means unbounded —
-        the queue depth alone applies.
+        completed, across every concurrent :meth:`run` and
+        :meth:`execute_batch` call (a batch reserves all its queries
+        at entry).  Beyond it a call raises :class:`QuotaError`.
+        ``None`` (default) means unbounded.
     degrade_on_deadline:
         When ``True`` and the store's device chain contains a
         :class:`~repro.service.deadline.DeadlineGuardDevice`, a query
-        whose deadline expired in the queue is answered from resident
-        blocks only (non-resident blocks zero-filled, sound
+        whose deadline expired before it started is answered from
+        resident blocks only (non-resident blocks zero-filled, sound
         ``error_bound``) instead of a bare timeout.
     """
 
@@ -231,8 +179,6 @@ class QueryEngine:
         self,
         store,
         *,
-        num_workers: int = 4,
-        queue_depth: int = 64,
         num_shards: int = 4,
         pool_capacity: Optional[int] = None,
         default_timeout: Optional[float] = None,
@@ -246,10 +192,6 @@ class QueryEngine:
         degrade_on_deadline: bool = False,
         read_only: bool = False,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {max_inflight}"
@@ -283,26 +225,16 @@ class QueryEngine:
                 store.tile_store.device, capacity, num_shards=num_shards
             )
         store.tile_store.set_pool(self._pool)
-        self._queue: "Queue[Optional[Submission]]" = Queue(maxsize=queue_depth)
         self._max_inflight = max_inflight
         self._inflight = 0  # guarded-by: _inflight_lock
-        self._queue_hwm = 0  # guarded-by: _inflight_lock
         self._inflight_lock = threading.Lock()
         self._closed = False  # guarded-by: _close_lock
-        self._batches = 0  # guarded-by: _close_lock
+        self._calls = 0  # guarded-by: _close_lock
         self._close_lock = threading.Lock()
         self._drained = threading.Event()
-        self._batches_idle = threading.Event()
-        self._batches_idle.set()
+        self._calls_idle = threading.Event()
+        self._calls_idle.set()
         self._batch_lock = threading.Lock()
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"repro-query-{i}", daemon=True
-            )
-            for i in range(num_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
 
     # ------------------------------------------------------------------
     # labeled metric accessors
@@ -321,9 +253,7 @@ class QueryEngine:
         """Tile-heat attribution scope for work done on this thread.
 
         Labels every :mod:`repro.obs.heat` touch with this engine's
-        tenant (from ``metric_labels``) and the given query class.
-        Contextvars do not cross thread boundaries, so worker threads
-        and the batch-prefetch path each open their own scope.  A
+        tenant (from ``metric_labels``) and the given query class.  A
         no-op when no heat recorder is installed.
         """
         if get_heat() is None:
@@ -347,7 +277,7 @@ class QueryEngine:
 
     @property
     def closed(self) -> bool:
-        # lint: allow=lock-discipline (racy bool read; close() drains stragglers that slip past it)
+        # lint: allow=lock-discipline (racy bool read for status reports; _enter() re-checks under the lock)
         return self._closed
 
     @property
@@ -363,27 +293,18 @@ class QueryEngine:
         self._read_only = bool(value)
 
     @property
-    def queue_capacity(self) -> int:
-        return self._queue.maxsize
-
-    @property
-    def queue_depth(self) -> int:
-        """Current admission-queue occupancy (approximate)."""
-        return self._queue.qsize()
-
-    @property
-    def queue_hwm(self) -> int:
-        """Admission-queue high-water mark since construction."""
-        with self._inflight_lock:
-            return self._queue_hwm
-
-    @property
     def breaker(self) -> Optional[CircuitBreaker]:
         return self._breaker
 
     @property
     def max_inflight(self) -> Optional[int]:
         return self._max_inflight
+
+    @property
+    def queries_inflight(self) -> int:
+        """Queries admitted and not yet completed."""
+        with self._inflight_lock:
+            return self._inflight
 
     # ------------------------------------------------------------------
     # admission
@@ -416,91 +337,73 @@ class QueryEngine:
         with self._inflight_lock:
             self._inflight = max(0, self._inflight - count)
 
-    def _note_queue_depth(self) -> None:
-        """Record the admission-queue high-water mark after an enqueue."""
-        depth = self._queue.qsize()
-        with self._inflight_lock:
-            if depth > self._queue_hwm:
-                self._queue_hwm = depth
-
-    def submit(
+    def run(
         self, query: Query, timeout: Optional[float] = None
-    ) -> Submission:
-        """Admit one query; raises :class:`AdmissionError` when the
-        queue is full, :class:`QuotaError` when the in-flight quota is
-        exhausted and :class:`EngineClosedError` after :meth:`close`."""
-        # lint: allow=lock-discipline (racy fast-path check; close() completes racing submissions)
-        if self._closed:
-            raise EngineClosedError("engine is closed")
-        self._reserve_inflight(1)
-        submission = Submission(query, self._deadline_for(timeout))
-        try:
-            self._queue.put_nowait(submission)
-        except Full:
-            self._release_inflight(1)
-            self._counter("queries_rejected").inc()
-            raise AdmissionError(
-                f"admission queue is full ({self._queue.maxsize} waiting)"
-            ) from None
-        self._note_queue_depth()
-        self._counter("queries_submitted").inc()
-        return submission
+    ) -> QueryResult:
+        """Execute one query in the calling thread and return its result.
 
-    def run(self, query: Query, timeout: Optional[float] = None) -> QueryResult:
-        """Submit one query and wait for its result."""
-        return self.submit(query, timeout=timeout).result()
+        Raises :class:`QuotaError` when the in-flight quota is exhausted
+        and :class:`EngineClosedError` after :meth:`close`; every
+        failure of the query itself is answered as a result.
+        """
+        arrived_s = time.perf_counter()
+        deadline = self._deadline_for(timeout)
+        self._enter()
+        try:
+            self._reserve_inflight(1)
+            self._counter("queries_submitted").inc()
+            return self._run_admitted(query, deadline, arrived_s)
+        finally:
+            self._exit()
+
+    def _enter(self) -> None:
+        """Register a running call, or raise after :meth:`close`.
+
+        Checked and counted under the lock that flips ``_closed``, so
+        every call either starts before the flip (and :meth:`close`
+        waits for it) or is refused."""
+        with self._close_lock:
+            if self._closed:
+                raise EngineClosedError("engine is closed")
+            self._calls += 1
+            self._calls_idle.clear()
+
+    def _exit(self) -> None:
+        with self._close_lock:
+            self._calls -= 1
+            if not self._calls:
+                self._calls_idle.set()
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
 
-    def _worker_loop(self) -> None:
-        while True:
-            submission = self._queue.get()
-            if submission is None:  # shutdown sentinel
-                self._queue.task_done()
-                return
-            try:
-                self._run_admitted(submission)
-            finally:
-                self._queue.task_done()
+    def _run_admitted(
+        self, query: Query, deadline: Optional[float], arrived_s: float
+    ) -> QueryResult:
+        """Execute an admitted query, then release its in-flight slot.
 
-    def _run_admitted(self, submission: Submission) -> None:
-        """Execute an admitted submission, then release its in-flight
-        slot; the submission always ends completed."""
-        error = "query dropped without completion"
+        ``admission_wait_s`` records the time from ``arrived_s`` to the
+        start of execution: the close-barrier and quota checks for
+        :meth:`run`, nothing for a batch's queries (their batch was
+        admitted as a whole before planning)."""
         try:
-            self._execute(submission)
-        except Exception as exc:  # pragma: no cover - defensive
-            # _execute already converts query failures to results;
-            # anything escaping it is an engine bug.  The executing
-            # thread must survive it and the waiter must still get an
-            # answer.
-            self._counter("worker_faults").inc()
-            error = f"internal worker error: {exc!r}"
+            return self._execute(query, deadline, arrived_s)
         finally:
-            if not submission.done():
-                submission._complete(
-                    QueryResult(status=STATUS_ERROR, error=error)
-                )
             self._release_inflight(1)
 
-    def _execute(self, submission: Submission) -> None:
-        wait_s = time.perf_counter() - submission.submitted_s
+    def _execute(
+        self, query: Query, deadline: Optional[float], arrived_s: float
+    ) -> QueryResult:
+        wait_s = time.perf_counter() - arrived_s
         self._histogram("admission_wait_s").record(wait_s)
-        with self._heat_scope(
-            type(submission.query).__name__
-        ), get_tracer().span(
+        with self._heat_scope(type(query).__name__), get_tracer().span(
             "query",
-            parent=submission.trace_parent,
-            kind=type(submission.query).__name__,
+            kind=type(query).__name__,
             admission_wait_s=wait_s,
         ) as span:
-            if (
-                submission.deadline is not None
-                and time.monotonic() >= submission.deadline
-            ):
-                degraded = self._answer_from_cache(submission.query)
+            if deadline is not None and time.monotonic() >= deadline:
+                degraded = self._answer_from_cache(query)
                 if degraded is not None:
                     self._counter("queries_deadline_degraded").inc()
                     self._counter("queries_served").inc()
@@ -509,21 +412,17 @@ class QueryEngine:
                     span.set(status=degraded.status)
                     if degraded.error:
                         span.set(error=degraded.error)
-                    submission._complete(degraded)
-                    return
+                    return degraded
                 self._counter("queries_timed_out").inc()
                 span.set(status=STATUS_TIMEOUT)
-                submission._complete(
-                    QueryResult(
-                        status=STATUS_TIMEOUT,
-                        error="deadline expired before execution",
-                    )
+                return QueryResult(
+                    status=STATUS_TIMEOUT,
+                    error="deadline expired before execution",
                 )
-                return
             started = time.perf_counter()
             try:
-                result = self._serve(submission.query)
-            except Exception as exc:  # queries must never kill a worker
+                result = self._serve(query)
+            except Exception as exc:  # a failing query is an answer
                 result = QueryResult(status=STATUS_ERROR, error=str(exc))
             latency = time.perf_counter() - started
             result = QueryResult(
@@ -547,7 +446,7 @@ class QueryEngine:
                 span.set(error=result.error)
             if result.attempts > 1:
                 span.set(attempts=result.attempts)
-            submission._complete(result)
+            return result
 
     def _serve(self, query: Query) -> QueryResult:
         """Execute one query through the resilience ladder.
@@ -676,37 +575,22 @@ class QueryEngine:
         order) and pinned so concurrent eviction cannot force a
         re-read mid-batch.  The queries then execute in the calling
         thread, in order, each through the same deadline check and
-        resilience ladder a worker applies; the admission queue and the
-        workers are not involved.  :meth:`close` waits for a running
-        batch before it flushes the pool.
+        resilience ladder as :meth:`run`.  One deadline, fixed at entry,
+        covers the whole batch: the prefetch wave stops fetching once it
+        has passed, and the queries left then answer from resident
+        blocks or time out.  :meth:`close` waits for a running batch
+        before it flushes the pool.
         """
+        deadline = self._deadline_for(timeout)
         queries = list(queries)
-        self._enter_batch()
+        self._enter()
         try:
-            return self._execute_batch(queries, timeout)
+            return self._execute_batch(queries, deadline)
         finally:
-            self._exit_batch()
-
-    def _enter_batch(self) -> None:
-        """Register a running batch, or raise after :meth:`close`.
-
-        Checked and counted under the lock that flips ``_closed``, so
-        every batch either starts before the flip (and :meth:`close`
-        waits for it) or is refused."""
-        with self._close_lock:
-            if self._closed:
-                raise EngineClosedError("engine is closed")
-            self._batches += 1
-            self._batches_idle.clear()
-
-    def _exit_batch(self) -> None:
-        with self._close_lock:
-            self._batches -= 1
-            if not self._batches:
-                self._batches_idle.set()
+            self._exit()
 
     def _execute_batch(
-        self, queries: List[Query], timeout: Optional[float]
+        self, queries: List[Query], deadline: Optional[float]
     ) -> BatchResult:
         # The whole batch's quota is reserved up front (all-or-nothing:
         # a tenant cannot half-admit a batch and starve its own tail).
@@ -737,20 +621,18 @@ class QueryEngine:
                 # keep the wave resident while the queries execute.
                 with self._batch_lock:
                     with tracer.span("batch.prefetch") as prefetch_span:
-                        pinned = self._prefetch(plan)
+                        pinned = self._prefetch(plan, deadline)
                         prefetch_span.set(blocks=len(pinned))
                 try:
-                    # One deadline covers the whole batch.  A query's
-                    # admission wait is the time it waits for an
-                    # executor: none here, the caller executes it.
-                    deadline = self._deadline_for(timeout)
                     self._counter("queries_submitted").inc(len(queries))
                     outcomes = []
                     for query in queries:
-                        submission = Submission(query, deadline)
                         executed += 1
-                        self._run_admitted(submission)
-                        outcomes.append(submission.result())
+                        outcomes.append(
+                            self._run_admitted(
+                                query, deadline, time.perf_counter()
+                            )
+                        )
                     results = tuple(outcomes)
                 finally:
                     for block_id in pinned:
@@ -772,11 +654,14 @@ class QueryEngine:
             wall_s=wall,
         )
 
-    def _prefetch(self, plan: BatchPlan) -> List[int]:
+    def _prefetch(
+        self, plan: BatchPlan, deadline: Optional[float]
+    ) -> List[int]:
         """Fault in and pin every materialised tile of the plan once.
 
         Never-written tiles have no block (they read as zeros for
-        free) and are skipped.  Returns the pinned block ids.
+        free) and are skipped; once ``deadline`` has passed no further
+        block is fetched.  Returns the pinned block ids.
         """
         tile_store = self._store.tile_store
         block_ids = sorted(
@@ -789,6 +674,8 @@ class QueryEngine:
         pinned: List[int] = []
         with self._heat_scope("prefetch"):
             for block_id in block_ids:
+                if deadline is not None and time.monotonic() >= deadline:
+                    break
                 try:
                     if self._retry_policy is not None:
                         retrier = Retrier(self._retry_policy)
@@ -817,48 +704,23 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Drain queued work, stop the workers, flush dirty blocks.
+        """Refuse new calls, wait for the running ones, flush dirty blocks.
 
         Idempotent and concurrent-safe: exactly one caller performs the
-        shutdown; every other (and every later) caller blocks until the
-        drain and flush have finished, so "close returned" always means
-        "workers stopped, running batches finished, dirty blocks
-        flushed".  Queries already admitted — queued for the workers or
-        in a batch running in its caller's thread — are executed (or
-        timed out against their deadlines);
-        new submissions are refused with :class:`EngineClosedError`; a
-        submission racing the shutdown is completed with a definite
-        error result rather than left hanging.
+        shutdown; every other (and every later) caller blocks until it
+        has finished, so "close returned" always means "running calls
+        finished, dirty blocks flushed".  Every query runs in its
+        caller's thread: a :meth:`run` or :meth:`execute_batch` that
+        started before ``close()`` completes (or times out against its
+        deadline) before the pool is flushed, and one that starts after
+        it raises :class:`EngineClosedError`.
         """
         with self._close_lock:
             if self._closed:
                 self._drained.wait()
                 return
             self._closed = True
-        for __ in self._workers:
-            self._queue.put(None)  # sentinels drain after pending work
-        for worker in self._workers:
-            worker.join()
-        # A submit() that passed the closed check concurrently with the
-        # flag flip may have enqueued behind the sentinels; its waiter
-        # must still get a definite answer.
-        while True:
-            try:
-                straggler = self._queue.get_nowait()
-            except Empty:
-                break
-            if straggler is not None:
-                if not straggler.done():
-                    straggler._complete(
-                        QueryResult(
-                            status=STATUS_ERROR, error="engine is closed"
-                        )
-                    )
-                self._release_inflight(1)
-            self._queue.task_done()
-        # Batches execute in their callers' threads; the ones admitted
-        # before the flag flip finish before the pool is flushed.
-        self._batches_idle.wait()
+        self._calls_idle.wait()
         if not self._read_only:
             with get_tracer().span("engine.flush"):
                 self._pool.flush()
@@ -875,18 +737,13 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def refresh_gauges(self) -> None:
-        """Publish current pool/queue occupancy into the registry's
+        """Publish current pool/in-flight occupancy into the registry's
         gauges (pull-style: refreshed on snapshot rather than on every
         pool operation, which would serialise the hot path)."""
         self._gauge("pool_resident_blocks").set(self._pool.resident)
         self._gauge("pool_dirty_blocks").set(self._pool.dirty)
         self._gauge("pool_pinned_blocks").set(self._pool.pinned)
-        self._gauge("admission_queue_depth").set(self._queue.qsize())
-        with self._inflight_lock:
-            inflight = self._inflight
-            queue_hwm = self._queue_hwm
-        self._gauge("queries_inflight").set(inflight)
-        self._gauge("admission_queue_hwm").set(queue_hwm)
+        self._gauge("queries_inflight").set(self.queries_inflight)
         if self._max_inflight is not None:
             self._gauge("inflight_quota").set(self._max_inflight)
         if self._breaker is not None:
@@ -921,7 +778,5 @@ class QueryEngine:
         refs = self._counter("planned_tile_refs").value
         unique = self._counter("planned_unique_tiles").value
         report["planner_dedup_ratio"] = refs / unique if unique else 1.0
-        with self._inflight_lock:
-            report["admission_queue_hwm"] = self._queue_hwm
-            report["queries_inflight"] = self._inflight
+        report["queries_inflight"] = self.queries_inflight
         return report

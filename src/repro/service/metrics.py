@@ -63,8 +63,8 @@ class Counter:
 
 
 class Gauge:
-    """A named value that can move both ways (pool residency, queue
-    depth).  Unlike :class:`Counter` it is *set* to the current reading
+    """A named value that can move both ways (pool residency, queries
+    in flight).  Unlike :class:`Counter` it is *set* to the current reading
     rather than accumulated; ``add`` supports delta-style updates (e.g.
     +1 on admit, -1 on completion)."""
 

@@ -11,7 +11,7 @@ the reconstruction entry points in :mod:`repro.reconstruct`:
 
 Queries are frozen dataclasses so batches can be hashed, deduplicated
 and shipped between threads safely.  :func:`execute_query` is the one
-dispatch point the engine's workers call.
+dispatch point the engine calls, in the caller's thread.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class CustomQuery:
     """Escape hatch: run an arbitrary callable against the store.
 
     The planner contributes no tile set for it (no prefetching); the
-    engine executes ``fn(store)`` on a worker thread.  Used by tests to
-    model slow queries and by callers with bespoke read patterns.
+    engine executes ``fn(store)`` in the caller's thread.  Used by tests
+    to model slow queries and by callers with bespoke read patterns.
     """
 
     fn: Callable[[Any], Any] = field(compare=False)

@@ -8,8 +8,8 @@ then executes it twice:
   model of N independent clients hitting an unbatched, uncached
   engine);
 * **batched** — through :class:`~repro.service.engine.QueryEngine`:
-  planner dedup, one pinned prefetch per unique block, concurrent
-  workers over the sharded pool.
+  planner dedup, one pinned prefetch per unique block, then every
+  query over the sharded pool in the calling thread.
 
 The report quantifies the serving-layer claim that rides on the
 paper's tiling: overlapping root paths mean a batch reads far fewer
@@ -169,9 +169,7 @@ def replay(
     points: int = 32,
     range_sums: int = 16,
     regions: int = 16,
-    num_workers: int = 4,
     num_shards: int = 4,
-    queue_depth: int = 64,
     skew: float = 1.0,
     selectivity: float = 0.15,
     dataset: str = "zipf",
@@ -223,9 +221,7 @@ def replay(
         "shape": list(store.shape),
         "block_edge": block_edge,
         "pool_capacity": pool_capacity,
-        "num_workers": num_workers,
         "num_shards": num_shards,
-        "queue_depth": queue_depth,
         "dataset": dataset,
         "queries": len(queries),
         "points": points,
@@ -240,9 +236,7 @@ def replay(
         report, __ = _serve(
             store,
             queries,
-            num_workers=num_workers,
             num_shards=num_shards,
-            queue_depth=queue_depth,
             pool_capacity=pool_capacity,
             fault_rate=fault_rate,
             fault_seed=fault_seed,
@@ -254,9 +248,7 @@ def replay(
         report, expected = _serve(
             store,
             queries,
-            num_workers=num_workers,
             num_shards=num_shards,
-            queue_depth=queue_depth,
             pool_capacity=pool_capacity,
             fault_rate=fault_rate,
             fault_seed=fault_seed,
@@ -292,9 +284,7 @@ def replay(
 def _serve(
     store,
     queries: Sequence[Query],
-    num_workers: int,
     num_shards: int,
-    queue_depth: int,
     pool_capacity: int,
     fault_rate: float = 0.0,
     fault_seed: int = 0,
@@ -340,8 +330,6 @@ def _serve(
 
     engine = QueryEngine(
         store,
-        num_workers=num_workers,
-        queue_depth=queue_depth,
         num_shards=num_shards,
         pool_capacity=pool_capacity,
         **engine_kwargs,

@@ -20,22 +20,13 @@ Both drivers run through the plan-compiled SHIFT-SPLIT path of
 supports ``workers=K``: chunk fetch, DWT and plan compilation move to a
 thread pool while the main thread applies the precomputed contribution
 tensors *in chunk order* — bit-identical output and identical
-:class:`~repro.storage.iostats.IOStats` to the serial path.
-
-``parallel_apply`` is a deprecated no-op.  The old thread-scatter path
-pinned tiles per scatter on a sharded pool, which churned frames other
-threads needed and re-read blocks the serial trace never touched
-(3380 vs 1836 reads on the 2d-1024 benchmark).  Threads cannot fix
-that under the GIL; the replacement is
-:func:`repro.transform.procpool.transform_standard_procpool`, which
-partitions tile ownership across processes so no tile is ever touched
-by two workers and the block-I/O trace matches the serial path
-exactly.
+:class:`~repro.storage.iostats.IOStats` to the serial path.  For truly
+concurrent scatters see
+:func:`repro.transform.procpool.transform_standard_procpool`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
@@ -107,7 +98,6 @@ def transform_standard_chunked(
     order: str = "rowmajor",
     skip_zero_chunks: bool = False,
     workers: int = 1,
-    parallel_apply: bool = False,
     use_plans: Optional[bool] = None,
 ) -> TransformReport:
     """Bulk-load a standard-form transform chunk by chunk (Result 1).
@@ -130,13 +120,6 @@ def transform_standard_chunked(
         precomputed contribution tensor in chunk order — bit-identical
         coefficients and identical ``IOStats`` to ``workers=1``.
         Requires the plan path (``use_plans`` must not be False).
-    parallel_apply:
-        Deprecated no-op.  The retired thread-scatter path amplified
-        block reads through pool-pin churn; passing ``True`` now emits
-        a :class:`DeprecationWarning` and runs the ordered pipeline
-        (or the serial loop for ``workers=1``) instead.  For truly
-        concurrent scatters use
-        :func:`repro.transform.procpool.transform_standard_procpool`.
     use_plans:
         Tri-state: ``None`` follows the global switch of
         :mod:`repro.core.plans`; ``False`` forces the interpreted
@@ -150,16 +133,6 @@ def transform_standard_chunked(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and not use_plans:
         raise ValueError("workers > 1 requires the plan-compiled path")
-    if parallel_apply:
-        warnings.warn(
-            "parallel_apply is deprecated and ignored: the thread-scatter"
-            " path amplified block reads through pool-pin churn; use"
-            " repro.transform.procpool.transform_standard_procpool for"
-            " truly parallel scatters",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        parallel_apply = False
     grid_shape = tuple(
         extent // chunk_extent
         for extent, chunk_extent in zip(domain, chunk_shape)

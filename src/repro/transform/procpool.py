@@ -1,8 +1,8 @@
 """True process-parallel SHIFT-SPLIT bulk loads (no GIL, no pin churn).
 
-The thread-scatter experiment (``parallel_apply``) lost to serial
-cached plans: Python threads serialise the numpy scatters on the GIL
-while cross-worker tile pinning re-fetches blocks another worker just
+A retired thread-scatter experiment lost to serial cached plans:
+Python threads serialise the numpy scatters on the GIL while
+cross-worker tile pinning re-fetches blocks another worker just
 evicted (BENCH_kernels 2d-1024: 3380 block reads vs 1836 serial).
 This module replaces it with a ``multiprocessing`` scatter pool built
 on two facts:

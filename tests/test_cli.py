@@ -44,7 +44,6 @@ class TestServeReplay:
                     "--points", "8",
                     "--range-sums", "4",
                     "--regions", "4",
-                    "--workers", "2",
                     "--shards", "2",
                 ]
             )

@@ -110,13 +110,7 @@ class TestWitnessAgainstEngine:
         instrument_plan_caches(witness)
         with tracing() as tracer:
             instrument_tracer(tracer, witness)
-            engine = QueryEngine(
-                store,
-                num_workers=8,
-                queue_depth=256,
-                num_shards=4,
-                pool_capacity=16,
-            )
+            engine = QueryEngine(store, num_shards=4, pool_capacity=16)
             instrument_engine(engine, witness)
             batch, singles = _drive(engine, store, queries)
             engine.close()

@@ -337,7 +337,7 @@ class TestServiceObservability:
     def test_query_spans_nest_under_batch(self):
         store, __, __b, __d = _bulk_load()
         with tracing() as tracer:
-            engine = QueryEngine(store, num_workers=2, num_shards=2)
+            engine = QueryEngine(store, num_shards=2)
             try:
                 batch = engine.execute_batch(
                     [PointQuery((3, 5)), RangeSumQuery((0, 0), (15, 15))]
@@ -350,14 +350,14 @@ class TestServiceObservability:
         batch_id = spans["batch"].span_id
         queries = [s for s in tracer.spans() if s.name == "query"]
         assert len(queries) == 2
-        # Worker threads attached to the batch span explicitly.
+        # Queries run in the caller's thread, under the batch span.
         assert all(q.parent_id == batch_id for q in queries)
         assert all(q.attrs["status"] == "ok" for q in queries)
         assert all("admission_wait_s" in q.attrs for q in queries)
 
     def test_engine_snapshot_reports_gauges(self):
         store, __, __b, __d = _bulk_load()
-        engine = QueryEngine(store, num_workers=2, num_shards=2)
+        engine = QueryEngine(store, num_shards=2)
         try:
             engine.run(PointQuery((1, 1)))
             snap = engine.snapshot()
@@ -367,7 +367,7 @@ class TestServiceObservability:
         assert gauges["pool_resident_blocks"] >= 0
         assert gauges["pool_dirty_blocks"] >= 0
         assert gauges["pool_pinned_blocks"] == 0
-        assert gauges["admission_queue_depth"] == 0
+        assert gauges["queries_inflight"] == 0
         assert gauges["pool_resident_blocks"] == engine.pool.resident
 
     def test_plan_cache_stats_shape(self):

@@ -380,7 +380,7 @@ class TestTileHeat:
 
 
 class TestHealthzRollup:
-    def test_per_tenant_status_and_queue_hwm(self, served):
+    def test_per_tenant_status_and_inflight(self, served):
         __, base = served
         code, __, body = _request(base, "/healthz")
         assert code == 200
@@ -388,8 +388,11 @@ class TestHealthzRollup:
         for tenant in ("acme", "globex"):
             entry = body["tenants"][tenant]
             assert entry["status"] == "ok"
-            assert entry["queue_hwm"] >= 0
             assert entry["cubes"]
+            for cube in entry["cubes"].values():
+                assert cube["queries_inflight"] == 0
+                assert cube["max_inflight"] >= 1
+                assert not any(key.startswith("queue") for key in cube)
 
 
 class TestArenaTelemetry:

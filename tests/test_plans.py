@@ -187,18 +187,14 @@ class TestBulkLoadDrivers:
         base = load(use_plans=False)
         cached = load(use_plans=True)
         piped = load(workers=3)
-        with pytest.warns(DeprecationWarning, match="parallel_apply"):
-            shimmed = load(workers=3, parallel_apply=True)
 
         want = base.to_array()
         assert np.array_equal(want, cached.to_array())
         assert np.array_equal(want, piped.to_array())
-        assert np.array_equal(want, shimmed.to_array())
-        # Serial plan path, the ordered pipeline, and the deprecation
-        # shim all replay the exact block-I/O trace.
+        # The serial plan path and the ordered pipeline both replay the
+        # exact block-I/O trace.
         assert base.stats.snapshot() == cached.stats.snapshot()
         assert base.stats.snapshot() == piped.stats.snapshot()
-        assert base.stats.snapshot() == shimmed.stats.snapshot()
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(1, 2), st.booleans(), st.integers(0, 10**6))
@@ -252,29 +248,15 @@ class TestBulkLoadDrivers:
                 store, data, (8, 8), workers=2, use_plans=False
             )
 
-    def test_parallel_apply_deprecation_shim(self):
-        # The retired thread-scatter path is a warn-and-ignore shim:
-        # any store and any worker count is accepted, and the result
-        # replays the serial block-I/O trace exactly.
+    def test_pipeline_on_a_dense_store_matches_serial(self):
+        # The ordered pipeline accepts any standard store, not only a
+        # tiled one.
         rng = np.random.default_rng(11)
         data = rng.standard_normal((16, 16))
-
-        def load(**kwargs):
-            store = TiledStandardStore((16, 16), block_edge=4)
-            transform_standard_chunked(store, data, (8, 8), **kwargs)
-            return store
-
-        base = load()
-        with pytest.warns(DeprecationWarning, match="parallel_apply"):
-            shimmed = load(workers=1, parallel_apply=True)
-        assert np.array_equal(base.to_array(), shimmed.to_array())
-        assert base.stats.snapshot() == shimmed.stats.snapshot()
-
+        base = TiledStandardStore((16, 16), block_edge=4)
+        transform_standard_chunked(base, data, (8, 8))
         dense = DenseStandardStore((16, 16))
-        with pytest.warns(DeprecationWarning, match="procpool"):
-            transform_standard_chunked(
-                dense, data, (8, 8), workers=2, parallel_apply=True
-            )
+        transform_standard_chunked(dense, data, (8, 8), workers=2)
         assert np.array_equal(base.to_array(), dense.to_array())
 
 

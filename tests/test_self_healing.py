@@ -1,6 +1,7 @@
 """Tests for retry, circuit breaking, degraded reads and engine hygiene."""
 
 import random
+import sys
 import threading
 
 import numpy as np
@@ -246,7 +247,6 @@ class TestSelfHealingEngine:
         store, data = _store(wrap=wrap)
         engine = QueryEngine(
             store,
-            num_workers=2,
             retry_policy=RetryPolicy(
                 max_attempts=6, base_delay_s=0.0001, seed=1
             ),
@@ -284,7 +284,6 @@ class TestSelfHealingEngine:
         store.drop_cache()
         engine = QueryEngine(
             store,
-            num_workers=2,
             retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0),
             degraded_reads=True,
         )
@@ -310,7 +309,7 @@ class TestSelfHealingEngine:
         store.drop_cache()
         breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=60.0)
         engine = QueryEngine(
-            store, num_workers=1, breaker=breaker, degraded_reads=False
+            store, breaker=breaker, degraded_reads=False
         )
         try:
             for __ in range(4):
@@ -339,7 +338,7 @@ class TestSelfHealingEngine:
                     "breaker": CircuitBreaker(),
                     "degraded_reads": True,
                 }
-            engine = QueryEngine(store, num_workers=2, **kwargs)
+            engine = QueryEngine(store, **kwargs)
             try:
                 queries = [
                     PointQuery((i, j))
@@ -365,7 +364,7 @@ class TestSelfHealingEngine:
 class TestEngineHygiene:
     def test_poisoned_query_never_hangs_or_kills_worker(self):
         store, data = _store()
-        engine = QueryEngine(store, num_workers=1)
+        engine = QueryEngine(store)
         try:
             def buggy(_store):
                 raise ZeroDivisionError("query bug")
@@ -373,47 +372,74 @@ class TestEngineHygiene:
             bad = engine.run(CustomQuery(buggy))
             assert bad.status == STATUS_ERROR
             assert "query bug" in bad.error
-            # The sole worker must still be alive and serving.
+            # The failure is an answer: the engine keeps serving.
             good = engine.run(PointQuery((2, 2)))
             assert good.ok and np.isclose(good.value, data[2, 2])
         finally:
             engine.close()
 
-    def test_submit_after_close_raises_typed_error(self):
+    def test_run_after_close_raises_typed_error(self):
         store, __ = _store()
-        engine = QueryEngine(store, num_workers=1)
+        engine = QueryEngine(store)
         engine.close()
         with pytest.raises(EngineClosedError):
-            engine.submit(PointQuery((0, 0)))
+            engine.run(PointQuery((0, 0)))
         with pytest.raises(AdmissionError):  # subclass relationship
-            engine.submit(PointQuery((0, 0)))
+            engine.run(PointQuery((0, 0)))
         with pytest.raises(RuntimeError):  # seed compatibility
             engine.execute_batch([PointQuery((0, 0))])
 
     def test_close_is_idempotent_and_concurrent_safe(self):
+        # Eight callers run queries while four threads close the
+        # engine: every call ends with a definite answer or a refusal.
         store, __ = _store()
-        engine = QueryEngine(store, num_workers=2)
-        submissions = [engine.submit(PointQuery((i, i))) for i in range(8)]
-        errors = []
+        engine = QueryEngine(store)
+        start = threading.Barrier(12)
+        outcomes, errors = [], []
+
+        def caller(index):
+            start.wait(10)
+            for i in range(20):
+                try:
+                    if (index + i) % 2:
+                        outcomes.append(engine.run(PointQuery((i % 16, 0))))
+                    else:
+                        batch = engine.execute_batch(
+                            [PointQuery((index, 0)), PointQuery((0, i % 16))]
+                        )
+                        outcomes.extend(batch.results)
+                except EngineClosedError as exc:
+                    outcomes.append(exc)
 
         def closer():
+            start.wait(10)
             try:
                 engine.close()
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        threads = [threading.Thread(target=closer) for __ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        threads = [
+            threading.Thread(target=caller, args=(t,)) for t in range(8)
+        ] + [threading.Thread(target=closer) for __ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         engine.close()  # and once more for idempotence
         assert not errors
-        # Every in-flight query got a definite result.
-        for submission in submissions:
-            result = submission.result(timeout=5.0)
-            assert result.status in (STATUS_OK, STATUS_ERROR)
+        assert len(outcomes) >= 8 * 20
+        for outcome in outcomes:
+            assert isinstance(outcome, EngineClosedError) or (
+                outcome.status == STATUS_OK
+            )
         assert engine.closed
+        assert engine.snapshot()["queries_inflight"] == 0
 
 
 class TestJournalIOStatsDelta:

@@ -268,16 +268,65 @@ class TestDeadlineDegradation:
             hub.close()
 
 
+class TestDeadlineBatches:
+    """A deadline-bound aggregate runs as one batch, like any other."""
+
+    def test_generous_deadline_answers_like_no_deadline(self, served):
+        __, base = served
+        path = "/cube/sales/aggregate?cut=time@ymd:2&drilldown=time"
+        code, bounded = _request(
+            base, path, key="acme-key", headers={"X-Deadline-Ms": "60000"}
+        )
+        assert (code, bounded["status"]) == (200, "ok")
+        code, plain = _request(base, path, key="acme-key")
+        assert code == 200
+        # JSON floats round-trip through repr: equal cells are
+        # bit-identical values
+        assert bounded["cells"] == plain["cells"]
+
+    def test_deadline_drilldown_beyond_free_quota_is_429(self):
+        hub = ServingHub(block_slots=64, pool_blocks=64, max_inflight=2)
+        hub.add_tenant("acme", api_key="acme-key")
+        hub.add_cube(
+            "acme",
+            "grid",
+            [Dimension("x", 64), Dimension("y", 64)],
+            data=np.random.default_rng(37).random((64, 64)),
+        )
+        server, __thread = spawn(hub)
+        host, port = server.server_address
+        base = f"http://{host}:{port}"
+        labels = '{cube="grid",tenant="acme"}'
+        try:
+            code, body = _request(
+                base,
+                "/cube/grid/aggregate?drilldown=x:2",
+                key="acme-key",
+                headers={"X-Deadline-Ms": "10000"},
+            )
+            assert code == 429, body
+            counters = hub.metrics.snapshot()["counters"]
+            # all-or-nothing: the 4-cell batch never started
+            assert counters["queries_throttled" + labels] == 4
+            assert counters.get("queries_served" + labels, 0) == 0
+            assert counters.get("queries_submitted" + labels, 0) == 0
+            code, body = _request(
+                base,
+                "/cube/grid/aggregate?drilldown=x",
+                key="acme-key",
+                headers={"X-Deadline-Ms": "10000"},
+            )
+            assert (code, len(body["cells"])) == (200, 2)
+        finally:
+            server.shutdown()
+            server.server_close()
+            hub.close()
+
+
 class TestTenantIsolation:
     def test_saturated_tenant_cannot_starve_the_other(self):
         """globex floods its quota; acme must keep answering 200s."""
-        hub = ServingHub(
-            block_slots=64,
-            pool_blocks=64,
-            num_workers=2,
-            queue_depth=64,
-            max_inflight=4,
-        )
+        hub = ServingHub(block_slots=64, pool_blocks=64, max_inflight=4)
         rng = np.random.default_rng(31)
         for tenant, cube in (("acme", "sales"), ("globex", "telemetry")):
             hub.add_tenant(tenant, api_key=f"{tenant}-key")
@@ -325,7 +374,7 @@ class TestTenantIsolation:
             # the flood hits its own quota...
             assert 429 in flood_codes
             # ...while the polite tenant never sees an error: its own
-            # quota and queue are untouched by globex's saturation
+            # quota is untouched by globex's saturation
             assert set(acme_codes) == {200}
             snap = hub.metrics.snapshot()
             throttled = snap["counters"].get(
@@ -476,6 +525,67 @@ class TestDataDirPersistence:
         finally:
             reopened.close()
             in_memory.close()
+
+
+    def test_sidecar_with_num_workers_still_opens(self, tmp_path):
+        # Sidecars written while engines had worker pools carry a
+        # tenant "num_workers" field; reopening ignores it.
+        from repro.server import persist
+
+        data_dir = str(tmp_path / "hub")
+        path = "/cube/sales/aggregate?cut=time@ymd:2&drilldown=time"
+        hub = build_demo_hub(seed=41, data_dir=data_dir)
+        server, __thread = spawn(hub)
+        host, port = server.server_address
+        try:
+            code, before = _request(
+                f"http://{host}:{port}", path, key="acme-key"
+            )
+            assert code == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            hub.close()
+        state = persist.load_state(data_dir)
+        assert all("num_workers" not in t for t in state["tenants"])
+        for tenant in state["tenants"]:
+            tenant["num_workers"] = 2
+        with open(persist.state_path(data_dir), "w") as handle:
+            json.dump(state, handle)
+
+        reopened = ServingHub(data_dir=data_dir)
+        server, __thread = spawn(reopened)
+        host, port = server.server_address
+        try:
+            code, after = _request(
+                f"http://{host}:{port}", path, key="acme-key"
+            )
+            assert code == 200
+            assert after["cells"] == before["cells"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            reopened.close()
+
+    def test_replica_state_with_num_workers_applies(self):
+        from repro.server import persist
+
+        primary = ServingHub()
+        primary.add_tenant("acme", api_key="acme-key", max_inflight=5)
+        primary.add_cube(
+            "acme", "grid", [Dimension("x", 16), Dimension("y", 16)]
+        )
+        state = persist.hub_to_state(primary)
+        primary.close()
+        for tenant in state["tenants"]:
+            tenant["num_workers"] = 2
+        follower = ServingHub()
+        try:
+            follower._apply_state(state, 3)
+            assert follower.tenant("acme").max_inflight == 5
+            assert follower.cube("acme", "grid").engine.max_inflight == 5
+        finally:
+            follower.close()
 
 
 class TestStateSidecarDurability:

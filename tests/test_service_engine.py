@@ -1,14 +1,16 @@
-"""Tests for the concurrent query engine.
+"""Tests for the query engine.
 
-Covers the serving acceptance criteria: concurrent execution over one
-sharded pool matches sequential ground truth, dirty blocks survive
-``close()`` (verified against the device, not the cache), the bounded
-admission queue rejects promptly, and expired deadlines produce
-timeout errors rather than hangs.
+Covers the serving acceptance criteria: concurrent callers over one
+sharded pool match sequential ground truth, every query runs in its
+caller's thread, dirty blocks survive ``close()`` (verified against the
+device, not the cache), ``close()`` waits for running calls, the
+in-flight quota rejects promptly, and expired deadlines produce timeout
+or degraded answers rather than hangs.
 """
 
 import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.service.engine import (
     AdmissionError,
     EngineClosedError,
     QueryEngine,
+    QuotaError,
 )
 from repro.service.queries import (
     CustomQuery,
@@ -50,13 +53,7 @@ class TestConcurrentCorrectness:
         )
         queries = _mixed_workload(store.shape)
 
-        engine = QueryEngine(
-            store,
-            num_workers=8,
-            queue_depth=256,
-            num_shards=4,
-            pool_capacity=16,
-        )
+        engine = QueryEngine(store, num_shards=4, pool_capacity=16)
         # Dirty the pool through the engine's sharded path: the writes
         # must reach the device by close(), not die in the cache.
         # (write_point stores raw coefficients, so pick detail slots
@@ -111,7 +108,7 @@ class TestConcurrentCorrectness:
         expected = run_naive(store, queries)["values"]
         store.drop_cache()
         store.stats.reset()
-        with QueryEngine(store, num_workers=8, num_shards=4) as engine:
+        with QueryEngine(store, num_shards=4) as engine:
             batch = engine.execute_batch(queries)
         assert batch.plan.dedup_ratio > 1.0
         # Each unique materialised tile was read exactly once.
@@ -122,30 +119,31 @@ class TestConcurrentCorrectness:
 
 
 class TestInlineBatch:
-    """``execute_batch`` runs its queries in the caller's thread."""
+    """``run`` and ``execute_batch`` run their queries in the caller's
+    thread."""
 
     def test_batch_queries_run_in_the_callers_thread(self):
         store, __ = build_store(shape=(16, 16), block_edge=4)
         seen = []
-        with QueryEngine(store, num_workers=2) as engine:
+        with QueryEngine(store) as engine:
             batch = engine.execute_batch(
                 [CustomQuery(lambda s: seen.append(threading.get_ident()))]
                 * 3
                 + [PointQuery((1, 1))]
             )
-            worker = engine.run(
+            single = engine.run(
                 CustomQuery(lambda s: threading.get_ident())
             ).value
         assert all(result.ok for result in batch.results)
         assert seen == [threading.get_ident()] * 3
-        assert worker != threading.get_ident()  # submit() still uses workers
+        assert single == threading.get_ident()
 
     def test_raising_query_in_batch_is_contained(self):
         def boom(store):
             raise RuntimeError("custom query failed")
 
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        with QueryEngine(store, num_workers=2, max_inflight=4) as engine:
+        with QueryEngine(store, max_inflight=4) as engine:
             batch = engine.execute_batch(
                 [PointQuery((0, 0)), CustomQuery(boom), PointQuery((3, 3))]
             )
@@ -158,7 +156,7 @@ class TestInlineBatch:
 
     def test_close_waits_for_a_running_batch(self):
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        engine = QueryEngine(store, num_workers=2)
+        engine = QueryEngine(store)
         started, release, closed = (threading.Event() for __ in range(3))
 
         def held(store):
@@ -188,20 +186,56 @@ class TestInlineBatch:
         with pytest.raises(EngineClosedError):
             engine.execute_batch([PointQuery((0, 0))])
 
+    def test_close_waits_for_a_running_run(self):
+        store, __ = build_store(shape=(16, 16), block_edge=4)
+        engine = QueryEngine(store)
+        started, release, closed = (threading.Event() for __ in range(3))
+
+        def held(store):
+            started.set()
+            assert release.wait(10)
+            return "held"
+
+        result = []
+        runner = threading.Thread(
+            target=lambda: result.append(engine.run(CustomQuery(held)))
+        )
+        closer = threading.Thread(
+            target=lambda: (engine.close(), closed.set())
+        )
+        runner.start()
+        assert started.wait(10)
+        closer.start()
+        assert not closed.wait(0.2)  # the query is still reading
+        release.set()
+        runner.join(10)
+        closer.join(10)
+        assert closed.is_set()
+        assert result[0].ok and result[0].value == "held"
+        assert engine.snapshot()["queries_inflight"] == 0
+        with pytest.raises(EngineClosedError):
+            engine.run(PointQuery((0, 0)))
+
     def test_batch_values_equal_worker_and_direct_values(self):
+        """Bit-identical values from a batch with and without a
+        deadline, from ``run()`` and from the engine-free reader."""
         store, __ = build_store(shape=(64, 64), block_edge=8, seed=21)
         queries = _mixed_workload(store.shape, seed=22)
-        with QueryEngine(store, num_workers=2) as engine:
+        with QueryEngine(store) as engine:
             batch = engine.execute_batch(queries)
+            bounded = engine.execute_batch(queries, timeout=60.0)
             singles = [engine.run(query) for query in queries]
         fresh, __ = build_store(shape=(64, 64), block_edge=8, seed=21)
         assert any(isinstance(q, RangeSumQuery) for q in queries)
-        for query, in_batch, single in zip(queries, batch.results, singles):
-            assert in_batch.ok and single.ok
+        for query, in_batch, in_bounded, single in zip(
+            queries, batch.results, bounded.results, singles
+        ):
+            assert in_batch.ok and in_bounded.ok and single.ok
             if isinstance(query, RangeSumQuery):
                 direct = range_sum_standard(fresh, query.lows, query.highs)
             else:
                 direct = execute_query(fresh, query)
+            assert np.array_equal(in_batch.value, in_bounded.value)
             assert np.array_equal(in_batch.value, single.value)
             assert np.array_equal(in_batch.value, direct)
 
@@ -212,7 +246,7 @@ class TestInlineBatch:
             store, __ = build_store(
                 shape=(64, 64), block_edge=8, pool_capacity=64, seed=24
             )
-            with QueryEngine(store, num_workers=2) as engine:
+            with QueryEngine(store) as engine:
                 batch = engine.execute_batch(queries)
                 stats = dataclasses.asdict(store.stats)
             return stats, [result.value for result in batch.results]
@@ -228,62 +262,32 @@ class TestInlineBatch:
 
 
 class TestAdmissionControl:
-    def test_queue_beyond_capacity_rejects_promptly(self):
-        store, __ = build_store(shape=(16, 16), block_edge=4, seed=1)
-        release = threading.Event()
-        started = threading.Event()
-
-        def blocker(_store):
-            started.set()
-            release.wait(timeout=10.0)
-            return 0.0
-
-        engine = QueryEngine(store, num_workers=1, queue_depth=2)
-        try:
-            engine.submit(CustomQuery(blocker))
-            assert started.wait(timeout=5.0)  # worker is now occupied
-            engine.submit(PointQuery((0, 0)))
-            engine.submit(PointQuery((1, 1)))  # queue now full
-            with pytest.raises(AdmissionError):
-                engine.submit(PointQuery((2, 2)))
-            assert engine.metrics.counter("queries_rejected").value == 1
-        finally:
-            release.set()
-            engine.close()
-        # Admitted queries still completed during the drain.
-        assert engine.metrics.counter("queries_served").value == 3
-
     def test_expired_deadline_returns_timeout_not_hang(self):
+        # The batch's one deadline passes while its first query is
+        # still reading: the later queries are answered at once.
         store, __ = build_store(shape=(16, 16), block_edge=4, seed=2)
-        release = threading.Event()
-        started = threading.Event()
 
-        def blocker(_store):
-            started.set()
-            release.wait(timeout=10.0)
+        def slow(_store):
+            time.sleep(0.6)
             return 0.0
 
-        engine = QueryEngine(store, num_workers=1, queue_depth=8)
-        try:
-            engine.submit(CustomQuery(blocker))
-            assert started.wait(timeout=5.0)
-            # Deadline expires while the query waits behind the blocker.
-            doomed = engine.submit(PointQuery((3, 3)), timeout=0.0)
-            release.set()
-            result = doomed.result(timeout=5.0)
+        with QueryEngine(store) as engine:
+            batch = engine.execute_batch(
+                [CustomQuery(slow), PointQuery((3, 3)), PointQuery((4, 4))],
+                timeout=0.5,
+            )
+            assert engine.snapshot()["queries_inflight"] == 0
+        first, *later = batch.results
+        assert first.ok
+        for result in later:
             assert result.status == "timeout"
             assert result.value is None
             assert "deadline" in result.error
-            assert engine.metrics.counter("queries_timed_out").value == 1
-        finally:
-            release.set()
-            engine.close()
+        assert engine.metrics.counter("queries_timed_out").value == 2
 
     def test_default_timeout_applies(self):
         store, __ = build_store(shape=(16, 16), block_edge=4, seed=2)
-        engine = QueryEngine(
-            store, num_workers=1, queue_depth=8, default_timeout=0.0
-        )
+        engine = QueryEngine(store, default_timeout=0.0)
         try:
             result = engine.run(PointQuery((0, 0)))
             assert result.status == "timeout"
@@ -292,34 +296,85 @@ class TestAdmissionControl:
 
 
 class TestLifecycle:
-    def test_submit_after_close_refused(self):
+    def test_run_after_close_refused(self):
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        engine = QueryEngine(store, num_workers=2)
+        engine = QueryEngine(store)
         engine.close()
         with pytest.raises(RuntimeError):
-            engine.submit(PointQuery((0, 0)))
+            engine.run(PointQuery((0, 0)))
         with pytest.raises(RuntimeError):
             engine.execute_batch([PointQuery((0, 0))])
 
     def test_close_is_idempotent(self):
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        engine = QueryEngine(store, num_workers=2)
+        engine = QueryEngine(store)
         engine.close()
         engine.close()
 
     def test_close_drains_pending_work(self):
+        # Four callers are inside the engine when close() starts: it
+        # returns only after every one of them has its answer.
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        engine = QueryEngine(store, num_workers=1, queue_depth=32)
-        submissions = [
-            engine.submit(PointQuery((i % 16, i % 16))) for i in range(20)
+        engine = QueryEngine(store)
+        inside = threading.Barrier(5)
+        release = threading.Event()
+
+        def held(_store):
+            inside.wait(10)
+            assert release.wait(10)
+            return 1.0
+
+        results = []
+        callers = [
+            threading.Thread(
+                target=lambda: results.append(engine.run(CustomQuery(held)))
+            )
+            for __ in range(2)
+        ] + [
+            threading.Thread(
+                target=lambda: results.extend(
+                    engine.execute_batch(
+                        [CustomQuery(held), PointQuery((1, 1))]
+                    ).results
+                )
+            )
+            for __ in range(2)
         ]
-        engine.close()
-        assert all(sub.done() for sub in submissions)
-        assert all(sub.result().ok for sub in submissions)
+        for caller in callers:
+            caller.start()
+        inside.wait(10)
+        closer = threading.Thread(target=engine.close)
+        closer.start()
+        closer.join(0.2)
+        assert closer.is_alive()
+        release.set()
+        for thread in callers + [closer]:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(results) == 6 and all(result.ok for result in results)
+
+    def test_engines_start_no_threads(self):
+        from repro.olap.schema import Dimension
+        from repro.server.hub import ServingHub
+
+        before = threading.active_count()
+        hub = ServingHub(block_slots=64, pool_blocks=32)
+        hub.add_tenant("acme", api_key="acme-key")
+        for index in range(4):
+            hub.add_cube(
+                "acme",
+                f"cube{index}",
+                [Dimension("x", 16), Dimension("y", 16)],
+                data=np.full((16, 16), float(index)),
+            )
+        try:
+            assert threading.active_count() == before
+        finally:
+            hub.close()
 
     def test_query_error_is_contained(self):
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        with QueryEngine(store, num_workers=2) as engine:
+        with QueryEngine(store) as engine:
             bad = engine.run(PointQuery((999, 999)))
             good = engine.run(RangeSumQuery((0, 0), (7, 7)))
         assert bad.status == "error"
@@ -331,7 +386,7 @@ class TestLifecycle:
 class TestObservability:
     def test_snapshot_reports_serving_metrics(self):
         store, __ = build_store(shape=(32, 32), block_edge=4)
-        with QueryEngine(store, num_workers=4, num_shards=4) as engine:
+        with QueryEngine(store, num_shards=4) as engine:
             engine.execute_batch(_mixed_workload(store.shape, seed=9))
         snap = engine.snapshot()
         counters = snap["counters"]
@@ -346,7 +401,7 @@ class TestObservability:
         from repro.service.pool import ShardedBufferPool
 
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        engine = QueryEngine(store, num_workers=1, num_shards=2)
+        engine = QueryEngine(store, num_shards=2)
         try:
             assert isinstance(store.tile_store.pool, ShardedBufferPool)
             assert store.tile_store.pool is engine.pool
@@ -355,46 +410,50 @@ class TestObservability:
 
 
 class TestQuotaAndQueueHwm:
-    """The per-tenant admission quota and the HWM satellite."""
+    """The per-tenant in-flight quota and its gauges."""
 
     def _blocked_engine(self, max_inflight):
+        """An engine whose one admitted query is parked in another
+        thread until ``gate`` is set; ``result`` receives its answer."""
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        engine = QueryEngine(
-            store,
-            num_workers=1,
-            queue_depth=8,
-            max_inflight=max_inflight,
+        engine = QueryEngine(store, max_inflight=max_inflight)
+        gate, started = threading.Event(), threading.Event()
+        result = []
+
+        def parked(_store):
+            started.set()
+            return gate.wait(5)
+
+        blocker = threading.Thread(
+            target=lambda: result.append(engine.run(CustomQuery(parked)))
         )
-        gate = threading.Event()
-        blocker = engine.submit(CustomQuery(lambda s: gate.wait(5)))
-        return engine, gate, blocker
+        blocker.start()
+        assert started.wait(5)
+        return engine, gate, blocker, result
 
     def test_submit_beyond_quota_raises_quota_error(self):
-        from repro.service.engine import QuotaError
-
-        engine, gate, blocker = self._blocked_engine(max_inflight=2)
+        engine, gate, blocker, result = self._blocked_engine(max_inflight=2)
         try:
-            second = engine.submit(PointQuery((0, 0)))
+            assert engine.run(PointQuery((0, 0))).ok  # one slot is free
             with pytest.raises(QuotaError):
-                engine.submit(PointQuery((1, 1)))
+                engine.execute_batch([PointQuery((1, 1))] * 2)
             # QuotaError is an AdmissionError: generic handlers keep
-            # treating it as backpressure.
+            # treating it as a refusal to admit.
             assert issubclass(QuotaError, AdmissionError)
-            assert engine.metrics.counter("queries_throttled").value == 1
+            assert engine.metrics.counter("queries_throttled").value == 2
             gate.set()
-            assert blocker.result(5).ok
-            assert second.result(5).ok
+            blocker.join(5)
+            assert result[0].ok
             # completed work releases the quota
-            assert engine.run(PointQuery((2, 2))).ok
+            batch = engine.execute_batch([PointQuery((2, 2))] * 2)
+            assert all(result.ok for result in batch.results)
         finally:
             gate.set()
             engine.close()
 
     def test_batch_reserves_quota_upfront(self):
-        from repro.service.engine import QuotaError
-
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        with QueryEngine(store, num_workers=2, max_inflight=3) as engine:
+        with QueryEngine(store, max_inflight=3) as engine:
             with pytest.raises(QuotaError):
                 engine.execute_batch(
                     [PointQuery((i, i)) for i in range(4)]
@@ -405,29 +464,25 @@ class TestQuotaAndQueueHwm:
             )
             assert all(result.ok for result in batch.results)
 
-    def test_snapshot_reports_queue_hwm_and_inflight(self):
-        engine, gate, blocker = self._blocked_engine(max_inflight=8)
+    def test_snapshot_reports_inflight(self):
+        engine, gate, blocker, __ = self._blocked_engine(max_inflight=8)
         try:
-            for i in range(3):
-                engine.submit(PointQuery((i, i)))
             snap = engine.snapshot()
-            assert snap["admission_queue_hwm"] >= 2
-            assert snap["queries_inflight"] >= 3
-            assert snap["gauges"]["admission_queue_hwm"] >= 2
+            assert snap["queries_inflight"] == engine.queries_inflight == 1
+            assert snap["gauges"]["queries_inflight"] == 1
+            assert snap["gauges"]["inflight_quota"] == 8
+            assert "admission_queue_hwm" not in snap
             gate.set()
-            blocker.result(5)
+            blocker.join(5)
         finally:
             gate.set()
             engine.close()
-        snap = engine.snapshot()
-        assert snap["queries_inflight"] == 0
-        assert snap["admission_queue_hwm"] >= 2  # high-water sticks
+        assert engine.snapshot()["queries_inflight"] == 0
 
     def test_labeled_metrics_and_dedup_ratio(self):
         store, __ = build_store(shape=(32, 32), block_edge=4)
         with QueryEngine(
             store,
-            num_workers=2,
             metric_labels={"tenant": "acme"},
         ) as engine:
             engine.execute_batch(_mixed_workload(store.shape, seed=11))
@@ -450,10 +505,7 @@ class TestDeadlineDegradedReads:
         store.tile_store.wrap_device(JournaledDevice)
         store.tile_store.wrap_device(DeadlineGuardDevice)
         engine = QueryEngine(
-            store,
-            num_workers=2,
-            pool_capacity=16,
-            degrade_on_deadline=True,
+            store, pool_capacity=16, degrade_on_deadline=True
         )
         return engine, data
 
@@ -473,6 +525,25 @@ class TestDeadlineDegradedReads:
         finally:
             engine.close()
 
+    def test_zero_deadline_batch_prefetches_nothing_and_degrades(self):
+        engine, data = self._guarded_engine()
+        queries = [
+            RangeSumQuery((0, 0), (31, 31)),
+            RangeSumQuery((4, 8), (19, 27)),
+        ]
+        try:
+            batch = engine.execute_batch(queries, timeout=0.0)
+            assert engine.metrics.counter("blocks_prefetched").value == 0
+            assert batch.block_reads == 0
+        finally:
+            engine.close()
+        for query, result in zip(queries, batch.results):
+            assert result.status == "degraded"
+            assert 0.0 < result.error_bound < float("inf")
+            (x0, y0), (x1, y1) = query.lows, query.highs
+            truth = float(data[x0 : x1 + 1, y0 : y1 + 1].sum())
+            assert abs(result.value - truth) <= result.error_bound
+
     def test_expired_deadline_warm_cache_is_full_fidelity(self):
         engine, data = self._guarded_engine()
         try:
@@ -489,8 +560,6 @@ class TestDeadlineDegradedReads:
 
     def test_without_guard_expired_deadline_still_times_out(self):
         store, __ = build_store(shape=(16, 16), block_edge=4)
-        with QueryEngine(
-            store, num_workers=1, degrade_on_deadline=True
-        ) as engine:
+        with QueryEngine(store, degrade_on_deadline=True) as engine:
             result = engine.run(PointQuery((0, 0)), timeout=0.0)
         assert result.status == "timeout"
