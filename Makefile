@@ -65,8 +65,8 @@ serve:
 ci:
 	PYTHONPATH=src python -m pytest -x -q
 
-# Strict-tooling island (see pyproject.toml): ruff + mypy over
-# src/repro/analysis and src/repro/storage/iostats.py.  Gating in CI,
+# Strict-tooling island: ruff + mypy over the files pyproject.toml
+# lists (docs/static_analysis.md names them).  Gating in CI,
 # where the tools are installed; skipped gracefully on machines
 # without them so `make lint` never blocks local work.
 lint:

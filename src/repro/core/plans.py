@@ -16,15 +16,15 @@ This module compiles that structure once into a :class:`StandardChunkPlan`
 ``(domain_shape, chunk_shape, translation)``.  Applying a plan is pure
 numpy: one fancy gather + one multiply builds the contribution tensor,
 and each region is replayed through a
-:class:`~repro.storage.scatter.CompiledRegion` — zero per-call
-``np.unique``, recursion, or tuple-loop overhead.  The compiled path
-visits tiles in exactly the order the interpreted path does, so block
-I/O counts (the paper's currency) are **identical**; and because every
+:class:`~repro.storage.scatter.CompiledRegion` compiled once per tile
+geometry, where the unplanned path compiles the same region on every
+store call.  Both visit the same tiles in the same order, so block I/O
+counts (the paper's currency) are **identical**; and because every
 SHIFT/SPLIT weight is a signed power of two, the results are
 **bit-identical** too.
 
 The cache is enabled by default; set ``REPRO_DISABLE_PLANS=1`` (or use
-:func:`use_plans`) to fall back to the interpreted path, e.g. for the
+:func:`use_plans`) to apply chunks without plans, e.g. for the
 uncached baseline of ``benchmarks/bench_kernel_speed.py``.
 """
 
@@ -43,7 +43,7 @@ import numpy as np
 from repro.obs.tracer import get_tracer
 
 from repro.core.shiftsplit1d import AxisShiftSplit, axis_shift_split
-from repro.storage.scatter import AxisTileGroups, CompiledRegion, group_axis_indices
+from repro.storage.scatter import AxisTiles, CompiledRegion, group_axis_indices
 from repro.tiling.onedim import OneDimTiling
 from repro.tiling.standard import StandardTiling
 from repro.util.bits import ilog2
@@ -218,7 +218,7 @@ def _cached_axis_inverse_basis(
 @lru_cache(maxsize=65536)
 def _cached_axis_groups(
     extent: int, chunk: int, translation: int, block_edge: int, kind: str
-) -> AxisTileGroups:
+) -> AxisTiles:
     """Tile-grouped per-axis targets of one region kind.
 
     ``kind`` selects the slice of the axis map the region covers:

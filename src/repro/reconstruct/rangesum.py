@@ -22,7 +22,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.plans import _PlanLRU
-from repro.storage.tiled import TiledStandardStore, group_by_tile
+from repro.storage.scatter import AxisTiles, group_axis_indices
+from repro.storage.tiled import TiledStandardStore
 from repro.util.bits import ilog2
 from repro.wavelet.layout import SCALING_INDEX
 
@@ -114,7 +115,7 @@ class RangeSumAxis:
     """One range-sum axis compiled against a tiling; arrays read-only.
 
     ``indices`` / ``weights`` are :func:`range_sum_weights`' entries;
-    ``located`` is the axis' ``(slots, tile-part groups)`` pair that
+    ``located`` is the axis' tile grouping that
     :meth:`TiledStandardStore.read_region` accepts pre-computed; and
     ``parts`` the sorted tile parts the axis touches (the planner's
     per-axis tile set).
@@ -122,23 +123,21 @@ class RangeSumAxis:
 
     indices: np.ndarray
     weights: np.ndarray
-    located: Tuple[np.ndarray, Tuple[Tuple[Tuple[int, int], np.ndarray], ...]]
-    parts: Tuple[Tuple[int, int], ...]
+    located: AxisTiles
+
+    @property
+    def parts(self) -> Tuple[Tuple[int, int], ...]:
+        return self.located.parts
 
 
 def _build_axis(dim, low: int, high: int) -> RangeSumAxis:
     """Unmemoised :func:`range_sum_axis` over a one-axis tiling."""
     indices, weights = range_sum_weights(dim.size, low, high)
-    bands, roots, slots = dim.locate_indices(indices)
-    groups = tuple(
-        (part, _read_only(selector))
-        for part, selector in group_by_tile(bands, roots)
-    )
+    parts, group, slots = group_axis_indices(dim, indices)
     return RangeSumAxis(
         indices=indices,
         weights=weights,
-        located=(_read_only(slots), groups),
-        parts=tuple(part for part, __ in groups),
+        located=AxisTiles(parts, _read_only(group), _read_only(slots)),
     )
 
 

@@ -9,11 +9,17 @@ blocks — exactly the utilisation problem Section 3's tiling fixes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.storage.iostats import IOStats
+from repro.storage.scatter import (
+    AxisTiles,
+    CompiledRegion,
+    compile_region,
+    row_major_strides,
+)
 from repro.storage.tile_store import TileStore
 from repro.util.bits import ilog2
 from repro.util.validation import require_power_of_two_shape
@@ -73,61 +79,31 @@ class NaiveBlockedStandardStore:
     def drop_cache(self) -> None:
         self._store.drop_cache()
 
-    def _axis_groups(self, per_axis: Sequence[np.ndarray]):
+    def _compile(self, per_axis: Sequence[np.ndarray]) -> CompiledRegion:
         if len(per_axis) != self.ndim:
             raise ValueError(
                 f"need {self.ndim} index arrays, got {len(per_axis)}"
             )
-        located = []
+        axes = []
         for axis, indices in enumerate(per_axis):
             flat = np.asarray(indices, dtype=np.int64)
             if np.unique(flat).size != flat.size:
                 raise ValueError(
                     f"axis {axis} index array contains duplicates"
                 )
-            blocks = flat // self._edge
+            blocks, group = np.unique(flat // self._edge, return_inverse=True)
             slots = flat % self._edge
-            unique, inverse = np.unique(blocks, return_inverse=True)
-            groups = [
-                (int(block), np.nonzero(inverse == g)[0])
-                for g, block in enumerate(unique)
-            ]
-            located.append((slots, groups))
-        return located
-
-    def _visit(self, per_axis, callback) -> None:
-        located = self._axis_groups(per_axis)
-
-        def recurse(axis: int, parts: List[int], selectors: list) -> None:
-            if axis == self.ndim:
-                callback(tuple(parts), selectors, located)
-                return
-            for part, selector in located[axis][1]:
-                parts.append(part)
-                selectors.append(selector)
-                recurse(axis + 1, parts, selectors)
-                parts.pop()
-                selectors.pop()
-
-        recurse(0, [], [])
+            axes.append(
+                AxisTiles(tuple(blocks.tolist()), group.reshape(-1), slots)
+            )
+        return compile_region(
+            axes, row_major_strides((self._edge,) * self.ndim)
+        )
 
     def _update_region(self, per_axis, values, accumulate: bool) -> None:
         values = np.asarray(values, dtype=np.float64)
-        edge_shape = (self._edge,) * self.ndim
-
-        def callback(key, selectors, located):
-            tile = self._store.tile(key, for_write=True)
-            view = tile.reshape(edge_shape)
-            slot_ix = np.ix_(
-                *[located[a][0][selectors[a]] for a in range(self.ndim)]
-            )
-            block = values[np.ix_(*selectors)]
-            if accumulate:
-                view[slot_ix] += block
-            else:
-                view[slot_ix] = block
-
-        self._visit(per_axis, callback)
+        region = self._compile(per_axis)
+        region.scatter(self._store, values.reshape(-1), accumulate)
 
     def set_region(self, per_axis, values) -> None:
         self._update_region(per_axis, values, accumulate=False)
@@ -140,19 +116,7 @@ class NaiveBlockedStandardStore:
             tuple(np.asarray(axis).size for axis in per_axis),
             dtype=np.float64,
         )
-        edge_shape = (self._edge,) * self.ndim
-
-        def callback(key, selectors, located):
-            tile = self._store.peek(key)
-            if tile is None:
-                return
-            view = tile.reshape(edge_shape)
-            slot_ix = np.ix_(
-                *[located[a][0][selectors[a]] for a in range(self.ndim)]
-            )
-            out[np.ix_(*selectors)] = view[slot_ix]
-
-        self._visit(per_axis, callback)
+        self._compile(per_axis).gather(self._store, out.reshape(-1))
         return out
 
     def read_point(self, position: Sequence[int]) -> float:

@@ -1,89 +1,177 @@
-"""Compiled per-tile gather/scatter regions for cross-product tiles.
+"""One region compiler for both tiled stores.
 
-:class:`~repro.storage.tiled.TiledStandardStore` serves a cross-product
-region by locating every per-axis index, grouping the located indices by
-tile with ``np.unique``, and recursing over the cross product of the
-per-axis groups, building an ``np.ix_`` selector per visited tile.  All
-of that work depends only on the *index geometry* — not on the values
-being moved — so a region that is applied repeatedly (every chunk of a
-bulk load, every batch update at a fixed granularity) can be compiled
-once into flat per-tile index arrays and replayed as pure fancy-index
-scatters/gathers.
+The tiled stores persist coefficients in blocks, and the paper's tiled
+SHIFT-SPLIT moves one whole block per touched tile (Section 4.2).  A
+*region* is a cross product of per-axis positions: the index arrays of
+:class:`~repro.storage.tiled.TiledStandardStore`'s ``set_region`` /
+``add_region`` / ``read_region``, or the node ranges of
+:class:`~repro.storage.tiled.TiledNonStandardStore`'s ``set_details`` /
+``read_details``.  :func:`compile_region` turns a region into per-tile
+index arrays in one pass:
 
-A :class:`CompiledRegion` stores, per touched tile, two parallel
-``intp`` arrays:
+1. every axis arrives grouped by tile part (:class:`AxisTiles`: the
+   ascending distinct parts, each entry's part ordinal and its
+   within-tile slot along the axis);
+2. one broadcast gives every region entry its flat tile slot, its flat
+   position in the caller's row-major value tensor, and its tile
+   ordinal (mixed radix over the per-axis part ordinals, last axis
+   fastest);
+3. a stable argsort by tile ordinal gathers each tile's entries into
+   one contiguous run.
 
-``slots``
-    flat coefficient slots inside the tile's ``B^d`` block, and
-``source``
-    flat positions inside the caller's (row-major) value tensor.
-
-Applying the region is then one line per tile::
+The result, a :class:`CompiledRegion`, stores per touched tile two
+parallel ``intp`` arrays: ``slots`` (flat coefficient slots inside the
+tile's block) and ``source`` (flat positions inside the caller's value
+tensor).  Applying it is one line per tile::
 
     tile_store.tile(key, for_write=True)[slots] += values_flat[source]
 
-The compiler visits tiles in exactly the order the interpreted path
-does (ascending per-axis ``(band, root)`` keys, last axis fastest), so
-a compiled apply produces the **same block-I/O trace** — identical
-:class:`~repro.storage.iostats.IOStats` — as the store's own
-``set_region`` / ``add_region`` / ``read_region``.
+Tiles come in ascending per-axis part order, last axis fastest, so
+every path fetches the same tiles in the same order and charges the
+same :class:`~repro.storage.iostats.IOStats`; values are only moved,
+never summed, so the stored coefficients are bit-identical whichever
+caller compiled the region.  The chunk plans of :mod:`repro.core.plans`
+compile each region once and replay it; the stores compile per call.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import List, Sequence, Tuple
+from math import prod
+from typing import (
+    Any,
+    Callable,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.tiling.onedim import OneDimTiling
 
-__all__ = ["AxisTileGroups", "CompiledRegion", "group_axis_indices"]
+#: A flat index array (tile slots, tensor positions, part ordinals).
+Index = NDArray[np.intp]
 
-#: Per-axis grouping of located indices: ``(tile_part, selector, slots)``
-#: triples sorted by ``tile_part``; ``selector`` indexes the axis' target
-#: array and ``slots`` holds the within-tile per-axis slots at those
-#: positions.
-AxisTileGroups = Tuple[Tuple[Tuple[int, int], np.ndarray, np.ndarray], ...]
+__all__ = [
+    "AxisTiles",
+    "CompiledRegion",
+    "compile_region",
+    "group_axis_indices",
+    "row_major_strides",
+]
+
+
+class AxisTiles(NamedTuple):
+    """One axis of a region, grouped by tile part.
+
+    ``parts`` holds the distinct tile parts the axis touches, ascending;
+    ``group[i]`` is the ordinal in ``parts`` of entry ``i``'s part and
+    ``slots[i]`` its within-tile slot along the axis.
+    """
+
+    parts: Tuple[Hashable, ...]
+    group: Index
+    slots: Index
 
 
 def group_axis_indices(
-    tiling: OneDimTiling, indices: np.ndarray
-) -> AxisTileGroups:
-    """Locate and tile-group one axis' flat transform indices.
+    tiling: OneDimTiling, indices: NDArray[Any], validate: bool = True
+) -> AxisTiles:
+    """Locate one axis' flat transform indices and group them by
+    ``(band, root)`` tile part.
 
-    Raises ``ValueError`` on duplicate indices — a compiled scatter
-    assumes each (tile, slot) pair is hit at most once, so fancy-index
-    assignment and in-place ``+=`` are both exact.
+    With ``validate`` (the default) raises ``ValueError`` on duplicate
+    indices: a compiled region assumes each (tile, slot) pair is hit at
+    most once, so fancy-index assignment and in-place ``+=`` are both
+    exact.
     """
     flat = np.asarray(indices, dtype=np.int64)
-    if np.unique(flat).size != flat.size:
+    if validate and np.unique(flat).size != flat.size:
         raise ValueError("axis index array contains duplicates")
     bands, roots, slots = tiling.locate_indices(flat)
     span = int(roots.max()) + 1 if roots.size else 1
-    combined = bands * span + roots
-    unique, inverse = np.unique(combined, return_inverse=True)
-    groups: List[Tuple[Tuple[int, int], np.ndarray, np.ndarray]] = []
-    for group_index, key in enumerate(unique):
-        selector = np.nonzero(inverse == group_index)[0]
-        part = (int(key) // span, int(key) % span)
-        groups.append((part, selector, slots[selector].astype(np.intp)))
-    return tuple(groups)
+    codes, group = np.unique(bands * span + roots, return_inverse=True)
+    parts = tuple((int(code) // span, int(code) % span) for code in codes)
+    return AxisTiles(
+        parts, group.reshape(-1).astype(np.intp), slots.astype(np.intp)
+    )
 
 
-def _flat_cross(arrays: Sequence[np.ndarray], strides: Sequence[int]) -> np.ndarray:
-    """Row-major flat indices of the cross product of per-axis indices."""
-    acc = np.asarray(arrays[0], dtype=np.intp) * strides[0]
-    for array, stride in zip(arrays[1:], strides[1:]):
-        acc = acc[..., None] + np.asarray(array, dtype=np.intp) * stride
-    return np.ascontiguousarray(acc.reshape(-1))
-
-
-def _row_major_strides(shape: Sequence[int]) -> List[int]:
+def row_major_strides(shape: Sequence[int]) -> List[int]:
+    """Element strides of a C-ordered array of ``shape``."""
     strides = [1] * len(shape)
     for axis in range(len(shape) - 2, -1, -1):
         strides[axis] = strides[axis + 1] * int(shape[axis + 1])
     return strides
+
+
+def compile_region(
+    axes: Sequence[AxisTiles],
+    slot_strides: Sequence[int],
+    tensor_shape: Optional[Sequence[int]] = None,
+    offsets: Optional[Sequence[int]] = None,
+    slot_base: int = 0,
+    tile_key: Optional[Callable[[Tuple[Hashable, ...]], Hashable]] = None,
+) -> "CompiledRegion":
+    """Compile the cross product of ``axes`` into per-tile index arrays.
+
+    An entry's flat tile slot is ``slot_base`` plus the sum over axes
+    of its axis slot times ``slot_strides[a]``; its tile key is the
+    tuple of its per-axis parts, passed through ``tile_key`` if given.
+    ``tensor_shape`` is the caller's full value tensor (``None``: the
+    region itself), and ``offsets[a]`` shifts axis ``a``'s entries
+    into it (a region covering tensor axis range ``[off, off + L)``
+    passes ``off``).
+    """
+    ndim = len(axes)
+    counts = [int(axis.group.size) for axis in axes]
+    entries = prod(counts)
+    if entries == 0:
+        return CompiledRegion((), 0)
+    radices = [len(axis.parts) for axis in axes]
+    # Axis a contributes a column of shape (counts[a], 1, ..., 1) with
+    # one trailing 1 per later axis, so the sums broadcast to the region.
+    ordinal: Any = 0
+    slot: Any = slot_base
+    source: Any
+    for a, axis in enumerate(axes):
+        along = (-1,) + (1,) * (ndim - 1 - a)
+        ordinal = ordinal * radices[a] + axis.group.reshape(along)
+        slot = slot + (axis.slots * slot_strides[a]).reshape(along)
+    ordinal = ordinal.reshape(-1)
+    order = np.argsort(ordinal, kind="stable")
+    ordinal = ordinal[order]
+    slot = slot.reshape(-1)[order]
+    source = order
+    if tensor_shape is not None:
+        source = np.zeros((1,) * ndim, dtype=np.intp)
+        shifts = offsets or (0,) * ndim
+        for a, stride in enumerate(row_major_strides(tensor_shape)):
+            positions = np.arange(shifts[a], shifts[a] + counts[a])
+            along = (-1,) + (1,) * (ndim - 1 - a)
+            source = source + (positions * stride).reshape(along)
+        source = source.reshape(-1)[order]
+    starts = np.flatnonzero(ordinal[1:] != ordinal[:-1]) + 1
+    bounds = [0, *starts.tolist(), entries]
+    firsts = np.unravel_index(ordinal[bounds[:-1]], radices)
+    combos = zip(
+        *(
+            [axis.parts[i] for i in ix.tolist()]
+            for axis, ix in zip(axes, firsts)
+        )
+    )
+    keys: List[Hashable] = [
+        combo if tile_key is None else tile_key(combo) for combo in combos
+    ]
+    tiles = [
+        (key, slot[start:stop], source[start:stop])
+        for key, start, stop in zip(keys, bounds, bounds[1:])
+    ]
+    return CompiledRegion(tiles, entries)
 
 
 class CompiledRegion:
@@ -92,8 +180,8 @@ class CompiledRegion:
     Attributes
     ----------
     tiles:
-        ``(tile_key, slots, source)`` per touched tile, in the exact
-        order the interpreted region path visits them.
+        ``(tile_key, slots, source)`` per touched tile, in ascending
+        per-axis part order, last axis fastest.
     entries:
         Total number of coefficients the region moves.
     """
@@ -102,7 +190,7 @@ class CompiledRegion:
 
     def __init__(
         self,
-        tiles: Sequence[Tuple[tuple, np.ndarray, np.ndarray]],
+        tiles: Sequence[Tuple[Hashable, Index, Index]],
         entries: int,
     ) -> None:
         self.tiles = tuple(tiles)
@@ -111,44 +199,32 @@ class CompiledRegion:
     @classmethod
     def from_axis_groups(
         cls,
-        axis_groups: Sequence[AxisTileGroups],
+        axis_groups: Sequence[AxisTiles],
         axis_offsets: Sequence[int],
         tensor_shape: Sequence[int],
         block_edge: int,
     ) -> "CompiledRegion":
-        """Compile the cross product of per-axis tile groups.
-
-        ``axis_offsets[a]`` shifts axis ``a``'s selector positions into
-        the caller's tensor coordinates (a region covering tensor axis
-        range ``[off, off + L)`` passes ``off``); ``tensor_shape`` is
-        the *full* tensor the flat ``source`` indices address.
-        """
-        ndim = len(axis_groups)
-        tensor_strides = _row_major_strides(tensor_shape)
-        slot_strides = _row_major_strides((block_edge,) * ndim)
-        tiles = []
-        entries = 0
-        for combo in product(*axis_groups):
-            key = tuple(part for part, __, __ in combo)
-            slots = _flat_cross([s for __, __, s in combo], slot_strides)
-            source = _flat_cross(
-                [sel + off for (__, sel, __), off in zip(combo, axis_offsets)],
-                tensor_strides,
-            )
-            tiles.append((key, slots, source))
-            entries += slots.size
-        return cls(tiles, entries)
+        """Compile a standard-form region: cross-product tiles of edge
+        ``block_edge``, keyed by the tuple of per-axis parts (see
+        :func:`compile_region` for the offsets and tensor shape)."""
+        return compile_region(
+            axis_groups,
+            row_major_strides((block_edge,) * len(axis_groups)),
+            tensor_shape,
+            axis_offsets,
+        )
 
     # ------------------------------------------------------------------
 
     def scatter(
-        self, tile_store, values_flat: np.ndarray, accumulate: bool
+        self,
+        tile_store: Any,
+        values_flat: NDArray[np.float64],
+        accumulate: bool,
     ) -> None:
         """Push ``values_flat[source]`` into every touched tile.
 
-        Charges exactly the block I/O the interpreted ``set_region`` /
-        ``add_region`` path charges (one counted tile fetch per touched
-        tile, in the same order).
+        Charges one counted tile fetch per touched tile, in order.
         """
         fetch = tile_store.tile
         if accumulate:
@@ -158,11 +234,12 @@ class CompiledRegion:
             for key, slots, source in self.tiles:
                 fetch(key, for_write=True)[slots] = values_flat[source]
 
-    def gather(self, tile_store, out_flat: np.ndarray) -> None:
+    def gather(self, tile_store: Any, out_flat: NDArray[np.float64]) -> None:
         """Fill ``out_flat[source]`` from every touched tile.
 
-        Never-materialised tiles are skipped (they read as zero without
-        I/O), mirroring the interpreted ``read_region``.
+        Never-materialised tiles are skipped: they read as zero without
+        I/O, and the caller's (normally zero-filled) buffer is left
+        untouched there.
         """
         peek = tile_store.peek
         for key, slots, source in self.tiles:

@@ -4,9 +4,10 @@ These stores present the same region/key interfaces as their dense
 counterparts in :mod:`repro.storage.dense`, but persist coefficients in
 tile blocks through a :class:`~repro.storage.tile_store.TileStore`, so
 that the I/O counters measure *disk blocks* under the paper's optimal
-allocation strategy (Section 3).  All region operations group the
-touched coefficients by tile and move whole blocks, exactly as the
-paper's tiled SHIFT-SPLIT does (Section 4.2).
+allocation strategy (Section 3).  Every region operation compiles its
+region with :func:`repro.storage.scatter.compile_region` and moves
+whole blocks, one fetch per touched tile, exactly as the paper's tiled
+SHIFT-SPLIT does (Section 4.2).
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.storage.iostats import IOStats
+from repro.storage.scatter import (
+    AxisTiles,
+    CompiledRegion,
+    compile_region,
+    group_axis_indices,
+    row_major_strides,
+)
 from repro.storage.tile_store import TileStore
 from repro.tiling.nonstandard import NonStandardTiling
 from repro.tiling.standard import StandardTiling
@@ -36,24 +44,6 @@ def _env_validate_default() -> bool:
         "yes",
         "on",
     }
-
-
-def group_by_tile(
-    bands: np.ndarray, roots: np.ndarray
-) -> List[Tuple[Tuple[int, int], np.ndarray]]:
-    """Group positions of one axis by their (band, root) tile part.
-
-    Returns ``[(tile_part, selector), ...]`` where ``selector`` indexes
-    the original per-axis arrays.
-    """
-    span = int(roots.max()) + 1 if roots.size else 1
-    combined = bands * span + roots
-    unique, inverse = np.unique(combined, return_inverse=True)
-    groups = []
-    for group_index, key in enumerate(unique):
-        selector = np.nonzero(inverse == group_index)[0]
-        groups.append(((int(key) // span, int(key) % span), selector))
-    return groups
 
 
 class TiledStandardStore:
@@ -119,33 +109,34 @@ class TiledStandardStore:
 
     # ------------------------------------------------------------------
 
-    def _axis_groups(
+    def _compile(
         self,
         per_axis: Sequence[np.ndarray],
         validate: Optional[bool] = None,
-    ):
-        """Locate and tile-group every axis' index array.
+        located: Optional[Sequence[AxisTiles]] = None,
+    ) -> CompiledRegion:
+        """Compile the cross-product region ``per_axis``.
 
         ``validate`` overrides the store's duplicate-index check for
         this call (``None`` = store default).  Duplicated positions
         would make fancy-index accumulation silently drop updates, so
         turn the check on when handing the store untrusted index sets.
+        ``located`` supplies every axis' :class:`AxisTiles` already
+        computed for ``per_axis``, skipping location and validation.
         """
         if len(per_axis) != self.ndim:
             raise ValueError(
                 f"need {self.ndim} index arrays, got {len(per_axis)}"
             )
-        check = self._validate_regions if validate is None else validate
-        located = []
-        for axis, indices in enumerate(per_axis):
-            flat = np.asarray(indices, dtype=np.int64)
-            if check and np.unique(flat).size != flat.size:
-                raise ValueError(
-                    f"axis {axis} index array contains duplicates"
-                )
-            bands, roots, slots = self._tiling.locate_axis_indices(axis, flat)
-            located.append((slots, group_by_tile(bands, roots)))
-        return located
+        if located is None:
+            check = self._validate_regions if validate is None else validate
+            located = [
+                group_axis_indices(self._tiling.dim(axis), indices, check)
+                for axis, indices in enumerate(per_axis)
+            ]
+        return compile_region(
+            located, row_major_strides((self._edge,) * self.ndim)
+        )
 
     def _update_region(
         self,
@@ -155,34 +146,13 @@ class TiledStandardStore:
         validate: Optional[bool] = None,
     ) -> None:
         values = np.asarray(values, dtype=np.float64)
-        located = self._axis_groups(per_axis, validate=validate)
-        edge_shape = (self._edge,) * self.ndim
-
-        def recurse(axis: int, tile_parts: list, selectors: list) -> None:
-            if axis == self.ndim:
-                key = tuple(tile_parts)
-                tile = self._store.tile(key, for_write=True)
-                view = tile.reshape(edge_shape)
-                slot_ix = np.ix_(
-                    *[
-                        located[a][0][selectors[a]]
-                        for a in range(self.ndim)
-                    ]
-                )
-                sub_values = values[np.ix_(*selectors)]
-                if accumulate:
-                    view[slot_ix] += sub_values
-                else:
-                    view[slot_ix] = sub_values
-                return
-            for part, selector in located[axis][1]:
-                tile_parts.append(part)
-                selectors.append(selector)
-                recurse(axis + 1, tile_parts, selectors)
-                tile_parts.pop()
-                selectors.pop()
-
-        recurse(0, [], [])
+        region = self._compile(per_axis, validate=validate)
+        shape = tuple(np.asarray(axis).size for axis in per_axis)
+        if values.shape != shape:
+            raise ValueError(
+                f"values of shape {values.shape} for a {shape} region"
+            )
+        region.scatter(self._store, values.reshape(-1), accumulate)
 
     def set_region(
         self,
@@ -206,44 +176,21 @@ class TiledStandardStore:
         self,
         per_axis: Sequence[np.ndarray],
         validate: Optional[bool] = None,
-        located: Optional[Sequence[tuple]] = None,
+        located: Optional[Sequence[AxisTiles]] = None,
     ) -> np.ndarray:
         """Read the cross-product region, tile by tile.
 
-        ``located`` optionally supplies every axis' ``(slots, tile-part
-        groups)`` pair already computed for ``per_axis`` (as
+        ``located`` optionally supplies every axis' :class:`AxisTiles`
+        already computed for ``per_axis`` (as
         :func:`~repro.reconstruct.rangesum.range_sum_axis` memoises
         them), skipping the per-call location and validation.
         """
-        if located is None:
-            located = self._axis_groups(per_axis, validate=validate)
-        out_shape = tuple(np.asarray(axis).size for axis in per_axis)
-        out = np.zeros(out_shape, dtype=np.float64)
-        edge_shape = (self._edge,) * self.ndim
-
-        def recurse(axis: int, tile_parts: list, selectors: list) -> None:
-            if axis == self.ndim:
-                key = tuple(tile_parts)
-                tile = self._store.peek(key)
-                if tile is None:
-                    return  # never-written tiles read as zero, no I/O
-                view = tile.reshape(edge_shape)
-                slot_ix = np.ix_(
-                    *[
-                        located[a][0][selectors[a]]
-                        for a in range(self.ndim)
-                    ]
-                )
-                out[np.ix_(*selectors)] = view[slot_ix]
-                return
-            for part, selector in located[axis][1]:
-                tile_parts.append(part)
-                selectors.append(selector)
-                recurse(axis + 1, tile_parts, selectors)
-                tile_parts.pop()
-                selectors.pop()
-
-        recurse(0, [], [])
+        region = self._compile(per_axis, validate=validate, located=located)
+        out = np.zeros(
+            tuple(np.asarray(axis).size for axis in per_axis),
+            dtype=np.float64,
+        )
+        region.gather(self._store, out.reshape(-1))
         return out
 
     # ------------------------------------------------------------------
@@ -355,65 +302,44 @@ class TiledNonStandardStore:
 
     # ------------------------------------------------------------------
 
-    def _region_tiles(
+    def _compile(
         self,
         level: int,
         type_mask: int,
         node_start: Sequence[int],
         node_counts: Sequence[int],
-    ):
-        """Iterate (tile key, flat slot array, region selector) for a
-        contiguous node region of one subband."""
+    ) -> CompiledRegion:
+        """Compile a contiguous node region of one subband.
+
+        A node's flat slot inside its tile is ``1 + (base + ordinal) *
+        (D - 1) + (type_mask - 1)``: ``base`` counts the nodes above
+        its depth in the tile's subtree and ``ordinal`` is its
+        row-major position among the ``side^d`` nodes at that depth.
+        """
         band = self._tiling.band_of_level(level)
         depth = self._tiling.band_root_level(band) - level
         side = 1 << depth
-        branching = self._tiling.branching
-        base = ((branching ** depth) - 1) // (branching - 1)
-        nodes = [
-            np.arange(int(start), int(start) + int(count), dtype=np.int64)
-            for start, count in zip(node_start, node_counts)
-        ]
-        roots = [axis_nodes >> depth for axis_nodes in nodes]
-        groups_per_axis = []
-        for axis_roots in roots:
-            unique, inverse = np.unique(axis_roots, return_inverse=True)
-            groups_per_axis.append(
-                [
-                    (int(root), np.nonzero(inverse == g)[0])
-                    for g, root in enumerate(unique)
-                ]
+        details = self._tiling.branching - 1
+        base = ((self._tiling.branching ** depth) - 1) // details
+        axes = []
+        for start, count in zip(node_start, node_counts):
+            start, stop = int(start), int(start) + int(count)
+            nodes = np.arange(start, stop)
+            first, last = start >> depth, (stop - 1) >> depth
+            axes.append(
+                AxisTiles(
+                    tuple(range(first, last + 1)),
+                    (nodes >> depth) - first,
+                    nodes & (side - 1),
+                )
             )
-
-        def recurse(axis: int, chosen_roots: list, selectors: list):
-            if axis == self._tiling.ndim:
-                key = (band, tuple(chosen_roots))
-                # Flat within-tile slot for every node in this sub-block.
-                ordinal = np.zeros(
-                    tuple(sel.size for sel in selectors), dtype=np.int64
-                )
-                for a in range(self._tiling.ndim):
-                    local = (
-                        nodes[a][selectors[a]]
-                        - (chosen_roots[a] << depth)
-                    )
-                    shape = [1] * self._tiling.ndim
-                    shape[a] = local.size
-                    ordinal = ordinal * side + local.reshape(shape)
-                slots = (
-                    1
-                    + (base + ordinal) * (branching - 1)
-                    + (type_mask - 1)
-                )
-                yield key, slots, selectors
-                return
-            for root, selector in groups_per_axis[axis]:
-                chosen_roots.append(root)
-                selectors.append(selector)
-                yield from recurse(axis + 1, chosen_roots, selectors)
-                chosen_roots.pop()
-                selectors.pop()
-
-        yield from recurse(0, [], [])
+        ndim = self._tiling.ndim
+        return compile_region(
+            axes,
+            [details * side ** (ndim - 1 - a) for a in range(ndim)],
+            slot_base=1 + base * details + (type_mask - 1),
+            tile_key=lambda roots: (band, roots),
+        )
 
     def set_details(
         self,
@@ -424,11 +350,8 @@ class TiledNonStandardStore:
     ) -> None:
         """Overwrite a contiguous node region of one subband."""
         values = np.asarray(values, dtype=np.float64)
-        for key, slots, selectors in self._region_tiles(
-            level, type_mask, node_start, values.shape
-        ):
-            tile = self._store.tile(key, for_write=True)
-            tile[slots.ravel()] = values[np.ix_(*selectors)].ravel()
+        region = self._compile(level, type_mask, node_start, values.shape)
+        region.scatter(self._store, values.reshape(-1), accumulate=False)
 
     def read_details(
         self,
@@ -439,13 +362,8 @@ class TiledNonStandardStore:
     ) -> np.ndarray:
         """Read a contiguous node region of one subband."""
         out = np.zeros(tuple(int(c) for c in node_counts), dtype=np.float64)
-        for key, slots, selectors in self._region_tiles(
-            level, type_mask, node_start, node_counts
-        ):
-            tile = self._store.peek(key)
-            if tile is None:
-                continue
-            out[np.ix_(*selectors)] = tile[slots.ravel()].reshape(slots.shape)
+        region = self._compile(level, type_mask, node_start, out.shape)
+        region.gather(self._store, out.reshape(-1))
         return out
 
     def add_detail(self, key: NonStandardKey, delta: float) -> None:

@@ -24,7 +24,6 @@ from repro.reconstruct.rangesum import (
     range_sum_weights,
 )
 from repro.service.replay import build_store
-from repro.storage.tiled import group_by_tile
 from repro.tiling.standard import StandardTiling
 
 SIZES = (1, 2, 4, 8, 16, 32, 64)
@@ -63,28 +62,25 @@ def test_memoised_axes_equal_the_unmemoised_location_everywhere():
             for low, high in _boxes(size):
                 indices, weights = _build_weights(size, low, high)
                 bands, roots, slots = tiling.locate_axis_indices(0, indices)
-                groups = group_by_tile(bands, roots)
                 axis = range_sum_axis(tiling, 0, low, high)
                 assert axis is range_sum_axis(tiling, 0, low, high)
                 assert np.array_equal(axis.indices, indices)
                 assert np.array_equal(axis.weights, weights)
-                assert np.array_equal(axis.located[0], slots)
-                assert len(axis.located[1]) == len(groups)
-                for (part, selector), (want_part, want_selector) in zip(
-                    axis.located[1], groups
-                ):
-                    assert part == want_part
-                    assert np.array_equal(selector, want_selector)
+                assert np.array_equal(axis.located.slots, slots)
                 assert axis.parts == tuple(sorted(
                     {(int(b), int(r)) for b, r in zip(bands, roots)}
                 ))
+                # every entry's group names its own tile part
+                assert [axis.parts[g] for g in axis.located.group] == [
+                    (int(b), int(r)) for b, r in zip(bands, roots)
+                ]
 
 
 def test_cached_arrays_are_read_only():
     indices, weights = range_sum_weights(64, 5, 40)
     axis = range_sum_axis(StandardTiling((64, 64), 4), 1, 5, 40)
-    arrays = [indices, weights, axis.indices, axis.weights, axis.located[0]]
-    arrays += [selector for __, selector in axis.located[1]]
+    arrays = [indices, weights, axis.indices, axis.weights]
+    arrays += [axis.located.group, axis.located.slots]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):

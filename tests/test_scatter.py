@@ -1,6 +1,7 @@
-"""Compiled per-tile gather/scatter vs the interpreted tiled region
-path: same values, same tiles, same I/O; duplicate-index rejection at
-compile time."""
+"""Regions compiled through ``CompiledRegion.from_axis_groups`` (the
+chunk plans' entry point) vs the tiled store's own region calls: same
+values, same tiles, same I/O; duplicate-index rejection at compile
+time."""
 
 import numpy as np
 import pytest
@@ -33,10 +34,9 @@ class TestGroupAxisIndices:
     def test_groups_sorted_by_band_and_root(self):
         tiling = OneDimTiling(16, 4)
         groups = group_axis_indices(tiling, np.arange(16))
-        parts = [part for part, __, __ in groups]
-        assert parts == sorted(parts)
-        covered = sum(selector.size for __, selector, __ in groups)
-        assert covered == 16
+        assert list(groups.parts) == sorted(groups.parts)
+        assert groups.group.size == groups.slots.size == 16
+        assert set(groups.group.tolist()) == set(range(len(groups.parts)))
 
 
 class TestCompiledRegionVsInterpreted:
